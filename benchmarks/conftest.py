@@ -5,7 +5,14 @@ the quantities of interest are the *model* metrics (rounds, awake rounds)
 attached as ``extra_info``, not wall-clock statistics.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The reference implementations the gates time against live in the test
+# suite's ``oracles`` package, not in ``src/``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

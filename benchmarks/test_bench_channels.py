@@ -1,10 +1,10 @@
 """Channel-layer hot-path benchmarks: batched vs per-Message delivery.
 
 The channel refactor's perf claim is that routing a round through flat
-per-edge buffers (``CongestChannel(batched=True)``, the default) beats the
-seed engine's per-``Message`` delivery loop (kept verbatim as
-``congest-per-message``) on message-heavy workloads — with *bit-identical*
-outputs, metrics, and ledgers. This suite times three traffic shapes
+per-edge buffers (``CongestChannel``) beats the seed engine's
+per-``Message`` delivery loop (kept verbatim in the test suite as
+``oracles.channels.PerMessageCongestChannel``) on message-heavy workloads
+— with *bit-identical* outputs, metrics, and ledgers. This suite times three traffic shapes
 (broadcast-count, broadcast-read, unicast gossip) plus the LOCAL and radio
 broadcast channels, asserts the speedup floors, and writes a
 machine-readable ``BENCH_3.json`` snapshot next to the repository root so
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.channels import PerMessageCongestChannel
 from repro import graphs
 from repro.baselines import RadioDecayProgram
 from repro.congest import Network, NodeProgram
@@ -134,7 +135,7 @@ def _compare_channels(name, program_cls, output_key, floor):
         )
 
     batched_s, batched_net = _timed_run(make("congest"))
-    per_msg_s, per_msg_net = _timed_run(make("congest-per-message"))
+    per_msg_s, per_msg_net = _timed_run(make(PerMessageCongestChannel))
     assert batched_net.metrics() == per_msg_net.metrics()
     assert batched_net.outputs(output_key) == per_msg_net.outputs(output_key)
     assert batched_net.ledger.snapshot() == per_msg_net.ledger.snapshot()

@@ -6,7 +6,8 @@ state is flattened into numpy columns and each round is executed
 whole-network — with *bit-identical* outputs, metrics, and ledgers, which
 every timing below re-asserts before trusting its clocks. A radio scenario
 additionally snapshots the bincount listener scan of the broadcast channel
-against the scalar reference scan.
+against the scalar reference scan kept in the test suite
+(``oracles.channels.ScalarScanBroadcastChannel``).
 
 Timings isolate the round loop (``Network.run``): network construction is
 identical across engine paths and excluded. Best-of-N wall clocks; set
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.channels import ScalarScanBroadcastChannel
 from repro import graphs
 from repro.baselines import (
     LubyProgram,
@@ -155,7 +157,7 @@ def test_radio_listener_scan_speedup():
         )
 
     vector_s, vector_net = _timed_run(make("broadcast"), "fast")
-    scalar_s, scalar_net = _timed_run(make("broadcast-scalar"), "fast")
+    scalar_s, scalar_net = _timed_run(make(ScalarScanBroadcastChannel), "fast")
     assert vector_net.metrics() == scalar_net.metrics()
     assert vector_net.outputs("in_mis") == scalar_net.outputs("in_mis")
     assert vector_net.ledger.snapshot() == scalar_net.ledger.snapshot()

@@ -195,9 +195,9 @@ def _static_main(argv) -> int:
         "--engine", default="auto", choices=list(ENGINE_MODES),
         help=(
             "engine path: auto (vectorized dense rounds when the program "
-            "declares the capability), fast (cached loop only), legacy "
-            "(naive per-round loop), or vectorized (require the "
-            "vectorized path; error if it cannot engage)"
+            "declares the capability), fast (cached loop only), or "
+            "vectorized (require the vectorized path; error if it cannot "
+            "engage)"
         ),
     )
     parser.add_argument(
@@ -402,7 +402,7 @@ def _dynamic_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="repro dynamic",
         description=(
-            "Maintain an MIS across a churn timeline: apply batched "
+            "Maintain an MIS across a churn timeline: apply grouped "
             "topology updates, repair the independent set, verify the "
             "invariant after every epoch, and report lifetime time/energy."
         ),

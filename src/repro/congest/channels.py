@@ -12,15 +12,13 @@ Three models ship with the engine:
 
 ``CongestChannel`` (the default)
     The paper's synchronous CONGEST semantics: one ``B = O(log n)``-bit
-    message per edge per round, messages to sleeping nodes dropped. The
-    default *batched* implementation routes an entire round through flat
-    per-edge buffers — one preallocated slot per directed edge, payload
-    written by slot index, inboxes materialized lazily as views over the
-    slot block of each receiver — instead of allocating a
-    :class:`~repro.congest.message.Message` object per delivery.
-    ``CongestChannel(batched=False)`` is the per-``Message`` reference
-    implementation, kept verbatim from the pre-channel engine; the
-    equivalence suite proves the two bit-identical.
+    message per edge per round, messages to sleeping nodes dropped. A
+    round is routed through flat per-edge buffers — one preallocated slot
+    per directed edge, payload written by slot index, inboxes materialized
+    lazily as views over the slot block of each receiver — instead of
+    allocating a :class:`~repro.congest.message.Message` object per
+    delivery. The equivalence suite proves it bit-identical to the
+    pre-channel per-``Message`` loop, kept as a test oracle.
 
 ``LocalChannel``
     Unbounded bandwidth (the LOCAL model): no bit budget, no bit
@@ -37,11 +35,9 @@ Three models ship with the engine:
     is billed to the energy ledger (a wasted listening slot), which is the
     accounting radio-network MIS papers charge. A transmitter never pays a
     collision charge on top of its transmit slot — half-duplex means it
-    cannot waste a listening slot. The default listener scan is one
-    per-round numpy bincount over transmitter edges;
-    ``BroadcastChannel(vectorized=False)`` (registry name
-    ``"broadcast-scalar"``) keeps the per-listener O(deg) reference scan
-    the regression tests pin it against.
+    cannot waste a listening slot. The listener scan is one per-round
+    numpy bincount over transmitter edges; the regression tests pin it
+    against a per-listener O(deg) reference scan kept as a test oracle.
 
 Channels are selected per :class:`~repro.congest.network.Network` via
 ``Network(..., channel=...)`` — a name from :data:`CHANNELS`, an instance,
@@ -234,19 +230,13 @@ class _InboxView:
 
 
 class CongestChannel(Channel):
-    """Point-to-point CONGEST delivery with the ``B``-bit budget.
-
-    ``batched=True`` (default) routes the round through flat per-edge slot
-    buffers; ``batched=False`` is the pre-refactor per-``Message`` loop,
-    kept as the bit-exact reference semantics (and as the baseline the
-    channel benchmarks measure the batched path against).
-    """
+    """Point-to-point CONGEST delivery with the ``B``-bit budget, routed
+    through flat per-edge slot buffers."""
 
     name = "congest"
 
-    def __init__(self, batched: bool = True):
+    def __init__(self) -> None:
         super().__init__()
-        self.batched = batched
         # Monotonic across the channel's whole lifetime, *never* reset by
         # bind(): an _InboxView minted against one network must not read
         # the recycled buffers of a later network the same channel
@@ -258,7 +248,7 @@ class CongestChannel(Channel):
         self._network = network
         self._round_serial += 1
         # The per-directed-edge slot structures are O(m) python objects —
-        # built lazily at the first batched delivery instead of here, so
+        # built lazily at the first delivery instead of here, so
         # a run that stays on the vectorized dense-round path (which never
         # routes a scalar delivery) never pays for them at all. That is
         # the difference between "loads in seconds" and "loads in gigabytes"
@@ -337,41 +327,6 @@ class CongestChannel(Channel):
 
     # -- delivery -------------------------------------------------------
     def deliver(self, ordered: List[int], awake: Set[int]) -> Dict[int, Any]:
-        if self.batched:
-            return self._deliver_batched(ordered, awake)
-        return self._deliver_per_message(ordered, awake)
-
-    def _deliver_per_message(self, ordered, awake) -> Dict[int, List[Message]]:
-        """The seed engine's delivery loop, verbatim (reference semantics)."""
-        network = self._network
-        contexts = network.contexts
-        inboxes: Dict[int, List[Message]] = {}
-        max_bits = network.max_message_bits
-        for node in ordered:
-            outbox, bcast = contexts[node]._drain()
-            if bcast is not NO_BROADCAST:
-                outbox = [(r, bcast) for r in contexts[node].neighbors]
-            if not outbox:
-                continue
-            for receiver, payload in outbox:
-                network.messages_sent += 1
-                bits = payload_bits_cached(payload)
-                network.total_message_bits += bits
-                if bits > max_bits:
-                    max_bits = bits
-                if receiver in awake and not contexts[receiver]._halted:
-                    inbox = inboxes.get(receiver)
-                    if inbox is None:
-                        inboxes[receiver] = [Message(node, payload)]
-                    else:
-                        inbox.append(Message(node, payload))
-                    network.messages_delivered += 1
-                else:
-                    network.messages_dropped += 1
-        network.max_message_bits = max_bits
-        return inboxes
-
-    def _deliver_batched(self, ordered, awake) -> Dict[int, Any]:
         if not self._slots_ready:
             self._build_slots()
         network = self._network
@@ -439,8 +394,6 @@ class CongestChannel(Channel):
         return inboxes
 
     def finish_round(self) -> None:
-        if not self.batched:
-            return
         self._round_serial += 1
         if not self._slots_ready:
             return
@@ -471,26 +424,7 @@ class LocalChannel(CongestChannel):
     # on_send / on_broadcast are inherited: with price() == 0 the budget
     # check can never trip, and the one-message-per-edge rule still holds.
 
-    def _deliver_per_message(self, ordered, awake) -> Dict[int, List[Message]]:
-        network = self._network
-        contexts = network.contexts
-        inboxes: Dict[int, List[Message]] = {}
-        for node in ordered:
-            outbox, bcast = contexts[node]._drain()
-            if bcast is not NO_BROADCAST:
-                outbox = [(r, bcast) for r in contexts[node].neighbors]
-            for receiver, payload in outbox:
-                network.messages_sent += 1
-                if receiver in awake and not contexts[receiver]._halted:
-                    inboxes.setdefault(receiver, []).append(
-                        Message(node, payload)
-                    )
-                    network.messages_delivered += 1
-                else:
-                    network.messages_dropped += 1
-        return inboxes
-
-    def _deliver_batched(self, ordered, awake) -> Dict[int, Any]:
+    def deliver(self, ordered: List[int], awake: Set[int]) -> Dict[int, Any]:
         if not self._slots_ready:
             self._build_slots()
         network = self._network
@@ -566,15 +500,10 @@ class BroadcastChannel(Channel):
     name = "broadcast"
 
     def __init__(self, collision_detection: bool = True,
-                 collision_cost: int = 1, vectorized: bool = True):
+                 collision_cost: int = 1):
         super().__init__()
         self.collision_detection = collision_detection
         self.collision_cost = collision_cost
-        # The default listener scan replaces the per-listener O(deg)
-        # membership loop with one per-round bincount over transmitter
-        # edges; ``vectorized=False`` keeps the original scalar scan as
-        # the bit-exact reference (regression-pinned in tests).
-        self.vectorized = vectorized
 
     def price(self, payload: Any) -> int:
         return payload_bits_cached(payload)
@@ -615,38 +544,9 @@ class BroadcastChannel(Channel):
         inboxes: Dict[int, List[Message]] = {}
         if not transmitters:
             return inboxes
-        if self.vectorized:
-            return self._scan_vectorized(transmitters, awake, inboxes)
-        return self._scan_scalar(ordered, transmitters, inboxes)
+        return self._scan_listeners(ordered, awake, transmitters, inboxes)
 
-    def _scan_scalar(self, ordered, transmitters, inboxes):
-        """Reference listener scan: O(deg) membership test per listener."""
-        network = self._network
-        contexts = network.contexts
-        ledger = network.ledger
-        for node in ordered:
-            if node in transmitters:
-                continue  # half-duplex: transmitters cannot listen
-            ctx = contexts[node]
-            if ctx._halted:
-                continue
-            heard = [u for u in ctx.neighbors if u in transmitters]
-            if not heard:
-                continue
-            if len(heard) == 1:
-                sender = heard[0]
-                inboxes[node] = [Message(sender, transmitters[sender])]
-                network.messages_delivered += 1
-            else:
-                network.messages_dropped += len(heard)
-                network.collisions += 1
-                if self.collision_cost:
-                    ledger.charge(node, self.collision_cost)
-                if self.collision_detection:
-                    inboxes[node] = [COLLISION_MESSAGE]
-        return inboxes
-
-    def _scan_vectorized(self, transmitters, awake, inboxes):
+    def _scan_listeners(self, ordered, awake, transmitters, inboxes):
         """One bincount over transmitter edges replaces all listener scans.
 
         ``counts[i]`` is the number of transmitting neighbors of rank
@@ -656,7 +556,8 @@ class BroadcastChannel(Channel):
         visited, so a round costs O(sum of transmitter degrees) plus
         O(listeners who hear anything) — independent of listener degree.
 
-        Accounting is identical to the scalar scan, including the
+        Accounting is identical to a per-listener O(deg) membership scan
+        (the test suite keeps one as an oracle), including the
         half-duplex rule that a node transmitting into a >= 2-transmitter
         neighborhood pays its transmit slot only, never an additional
         collision charge (it cannot listen, so it cannot waste a
@@ -721,11 +622,9 @@ class BroadcastChannel(Channel):
 #: a fresh instance, so one spec string can configure many networks.
 CHANNELS: Dict[str, Callable[[], Channel]] = {
     "congest": CongestChannel,
-    "congest-per-message": lambda: CongestChannel(batched=False),
     "local": LocalChannel,
     "broadcast": BroadcastChannel,
     "broadcast-no-cd": lambda: BroadcastChannel(collision_detection=False),
-    "broadcast-scalar": lambda: BroadcastChannel(vectorized=False),
 }
 
 ChannelSpec = Union[str, Channel, Callable[[], Channel], None]

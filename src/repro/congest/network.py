@@ -37,11 +37,10 @@ rounds:
   capability (``NodeProgram.vector_round``) execute whole-network numpy
   rounds (see ``repro.congest.vectorized``) instead of per-node python.
 
-``Network.run(legacy=True)`` (or the :func:`legacy_engine` switch) restores
-the naive one-``step``-per-round loop; :func:`engine_mode` selects between
-``auto``/``fast``/``legacy``/``vectorized`` globally. All paths are
-bit-identical in outputs, metrics, and ledger state (see
-``tests/test_engine_equivalence.py``).
+:func:`engine_mode` selects between ``auto``/``fast``/``vectorized``
+globally. Every path is bit-identical in outputs, metrics, and ledger
+state to a naive one-``step``-per-round loop, which the test suite keeps
+as an independent oracle (``tests/oracles/naive_engine.py``).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import NO_BROADCAST, Context, NodeProgram
-from .state import allocate_columns, bind_state, get_column_state
+from .state import allocate_columns, bind_state
 from .vectorized import GraphArrays
 
 #: Engine paths selectable per run or globally (see :func:`engine_mode`):
@@ -68,12 +67,12 @@ from .vectorized import GraphArrays
 #:   program declares the capability (and the channel supports it, and the
 #:   graph is big enough to amortize numpy overhead), else the cached fast
 #:   loop with idle fast-forward;
-#: * ``"fast"`` — the cached round loop, never vectorized;
-#: * ``"legacy"`` — the naive one-``step``-per-round seed loop;
+#: * ``"fast"`` — the cached round loop with idle fast-forward, never
+#:   vectorized;
 #: * ``"vectorized"`` — like auto, but *raises*
 #:   :class:`~repro.congest.errors.VectorizationError` instead of silently
 #:   falling back when the vectorized path cannot engage at all.
-ENGINE_MODES = ("auto", "fast", "legacy", "vectorized")
+ENGINE_MODES = ("auto", "fast", "vectorized")
 
 # Module-level switch so whole algorithm drivers (which call ``network.run()``
 # internally) can be forced onto one engine path for equivalence testing
@@ -114,30 +113,6 @@ def engine_mode(mode: str):
         yield
     finally:
         _ENGINE_MODE = previous
-
-
-# What set_legacy_mode(False) should restore: the mode that was active
-# before the boolean toggle forced "legacy" (the toggle predates the 4-way
-# engine modes and must not stomp an enclosing "fast"/"vectorized" scope).
-_PRE_LEGACY_MODE = "auto"
-
-
-def set_legacy_mode(enabled: bool) -> None:
-    """Globally force (or stop forcing) the naive per-round run loop."""
-    global _PRE_LEGACY_MODE
-    if enabled:
-        if _ENGINE_MODE != "legacy":
-            _PRE_LEGACY_MODE = _ENGINE_MODE
-        set_engine_mode("legacy")
-    elif _ENGINE_MODE == "legacy":
-        set_engine_mode(_PRE_LEGACY_MODE)
-
-
-@contextmanager
-def legacy_engine():
-    """Context manager: run every ``Network.run`` inside with ``legacy=True``."""
-    with engine_mode("legacy"):
-        yield
 
 
 # Ambient node-fault plans, mirroring ``channel_scope``: multi-phase
@@ -191,7 +166,7 @@ class Network:
         (``"congest"``, ``"local"``, ``"broadcast"``, ...), a
         :class:`~repro.congest.channels.Channel` instance, or a factory.
         Defaults to the innermost :func:`~repro.congest.channels
-        .channel_scope`, falling back to batched CONGEST.
+        .channel_scope`, falling back to CONGEST.
     instrument:
         Observer for run/round/phase events (see :mod:`repro.obs`).
         Defaults to the innermost :func:`~repro.obs.instrument_scope`,
@@ -219,7 +194,6 @@ class Network:
         channel: ChannelSpec = None,
         instrument=None,
         faults=None,
-        column_state: Optional[bool] = None,
     ):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot simulate an empty graph")
@@ -258,13 +232,9 @@ class Network:
             self.contexts[node] = Context(self, node, self.n, rng)
 
         #: Flat per-field state columns when the programs declare a schema
-        #: (see :mod:`repro.congest.state`), else None (dict-backed state).
+        #: (see :mod:`repro.congest.state`), else None.
         self.state_columns = None
-        self._column_state = (
-            get_column_state() if column_state is None else bool(column_state)
-        )
-        if self._column_state:
-            self._allocate_state_columns()
+        self._allocate_state_columns()
 
         # Wake bookkeeping: nodes in always-awake mode run every round;
         # scheduled nodes run only at rounds present in ``_wake_calendar``.
@@ -306,11 +276,11 @@ class Network:
     def _allocate_state_columns(self) -> None:
         """Allocate + bind schema-declared state columns, when possible.
 
-        Column state engages only for a homogeneous program population
-        with a non-empty schema whose string widths agree across nodes;
-        anything else silently keeps the dict-backed layout (both layouts
-        are bit-identical, so this is a representation choice, not a
-        semantic one).
+        Columns bind only for a homogeneous program population with a
+        non-empty schema whose string widths agree across nodes; anything
+        else keeps its state staged on the instances.  Vector kernels
+        engage only on populations that pass these checks, so they always
+        find ``state_columns`` bound.
         """
         programs = self.programs
         template = next(iter(programs.values()))
@@ -644,13 +614,10 @@ class Network:
             )
         return runner
 
-    def _resolve_engine(
-        self, legacy: Optional[bool], engine: Optional[str]
-    ) -> str:
+    @staticmethod
+    def _resolve_engine(engine: Optional[str]) -> str:
         if engine is not None:
             return _check_engine_mode(engine)
-        if legacy is not None:
-            return "legacy" if legacy else "fast"
         return _ENGINE_MODE
 
     def _try_vector_step(self, runner) -> bool:
@@ -685,7 +652,7 @@ class Network:
 
     @staticmethod
     def _flush_runner(runner) -> None:
-        """Flush a loaded vector runner back to program instances.
+        """Flush a loaded vector runner back to the state columns.
 
         Must run immediately before any scalar :meth:`step` while a
         runner may hold live state — the scalar loop reads program
@@ -699,26 +666,22 @@ class Network:
         self,
         max_rounds: int = 1_000_000,
         *,
-        legacy: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> RunMetrics:
         """Run until no node will ever wake again (or ``max_rounds``).
 
-        Three engine paths, all bit-identical in outputs, metrics, and
+        Both engine paths are bit-identical in outputs, metrics, and
         ledger state (``tests/test_engine_equivalence.py``):
 
-        * the default fast path jumps over idle stretches (rounds where no
-          node is awake) in O(1) per stretch and runs a cached round loop;
-        * ``legacy=True`` (or the module-level :func:`legacy_engine`
-          switch) steps every round the naive way;
+        * the fast path jumps over idle stretches (rounds where no node is
+          awake) in O(1) per stretch and runs a cached round loop;
         * dense always-on stretches of capability-declaring programs run
           through the vectorized round path (``engine="vectorized"`` to
           require it, ``engine="fast"`` to forbid it; default ``"auto"``).
         """
         if not self._started:
             self.start()
-        mode = self._resolve_engine(legacy, engine)
-        use_legacy = mode == "legacy"
+        mode = self._resolve_engine(engine)
         runner = None
         if mode in ("auto", "vectorized"):
             runner = self._vector_runner(force=mode == "vectorized")
@@ -730,14 +693,14 @@ class Network:
                     )
                 if self._try_vector_step(runner):
                     continue
-                if use_legacy or self._always_on:
+                if self._always_on:
                     self._flush_runner(runner)
                     self.step()
                     continue
                 next_wake = self._next_wake_round()
                 if next_wake >= max_rounds:
-                    # The naive loop would idle up to the limit and raise;
-                    # advance time the same way before raising.
+                    # A one-step-per-round loop would idle up to the limit
+                    # and raise; advance time the same way before raising.
                     self._skip_idle_to(max_rounds - 1)
                     raise SimulationLimitError(
                         f"simulation exceeded {max_rounds} rounds"
@@ -759,14 +722,12 @@ class Network:
         self,
         rounds: int,
         *,
-        legacy: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> RunMetrics:
         """Run exactly ``rounds`` rounds (idle rounds still advance time)."""
         if not self._started:
             self.start()
-        mode = self._resolve_engine(legacy, engine)
-        use_legacy = mode == "legacy"
+        mode = self._resolve_engine(engine)
         runner = None
         if mode in ("auto", "vectorized"):
             runner = self._vector_runner(force=mode == "vectorized")
@@ -775,7 +736,7 @@ class Network:
             while self.round_index < end:
                 if self._try_vector_step(runner):
                     continue
-                if use_legacy or self._always_on:
+                if self._always_on:
                     self._flush_runner(runner)
                     self.step()
                     continue

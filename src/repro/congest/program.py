@@ -39,7 +39,7 @@ from .state import StateField, install_descriptors
 # Marker for "no whole-neighborhood broadcast pending this round".  Channels
 # store a pending ``ctx.broadcast(payload)`` as a single marker assignment
 # (``ctx._bcast = payload``) instead of one outbox tuple per neighbor, which
-# is what makes batched broadcast delivery allocation-free on the send side.
+# is what makes slot-buffer broadcast delivery allocation-free on the send side.
 NO_BROADCAST = object()
 
 

@@ -29,28 +29,22 @@ into the node's column rows.  Unbinding (when a program instance is moved
 to another network) materializes the rows back into the ``__dict__`` so
 no state is lost.
 
-The dict-backed layout remains fully supported: :func:`set_column_state`
-/ :func:`column_state` turn column allocation off globally or for a
-scope, and a :class:`Network` built with ``column_state=False`` keeps
-every program on plain instance attributes.  Both layouts are
-bit-identical in outputs, metrics, ledgers, and RNG draw order
-(``tests/test_engine_equivalence.py`` proves it for every registered
-algorithm on all three engine paths).
+Columns are the one production layout.  A population the network cannot
+give columns (no schema, mixed program classes, or string widths that
+differ between nodes) keeps its values staged on the instances, exactly
+as before bind; the vector kernels never engage on such populations, so
+they always find their columns bound.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "StateField",
-    "set_column_state",
-    "get_column_state",
-    "column_state",
     "allocate_columns",
     "bind_state",
     "unbind_state",
@@ -73,34 +67,6 @@ class StateField:
     dtype: Any
     default: Any = 0
     width: Optional[Union[int, str]] = None
-
-
-# Module-level default, mirroring the engine-mode switch: column state is
-# the production layout; the dict layout stays reachable for equivalence
-# testing and for exotic per-node state no schema covers.
-_COLUMN_STATE = True
-
-
-def set_column_state(enabled: bool) -> None:
-    """Globally enable/disable column-backed state for new Networks."""
-    global _COLUMN_STATE
-    _COLUMN_STATE = bool(enabled)
-
-
-def get_column_state() -> bool:
-    return _COLUMN_STATE
-
-
-@contextmanager
-def column_state(enabled: bool) -> Iterator[None]:
-    """Scope the column-state default (dict layout under ``False``)."""
-    global _COLUMN_STATE
-    previous = _COLUMN_STATE
-    _COLUMN_STATE = bool(enabled)
-    try:
-        yield
-    finally:
-        _COLUMN_STATE = previous
 
 
 class _ScalarField:
@@ -178,7 +144,7 @@ def install_descriptors(cls: type) -> None:
 
     Called from ``NodeProgram.__init_subclass__`` so declaring a schema is
     all a program author does — attribute syntax in the program body stays
-    untouched in both layouts.
+    the same whether the instance is bound to columns or not.
     """
     for field in cls.state_schema():
         if not isinstance(field, StateField):

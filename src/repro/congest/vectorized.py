@@ -8,7 +8,7 @@ and runs the *same* program step.  There, the per-node python dispatch
 (``on_round``/``on_receive`` calls, inbox dict lookups, per-message
 accounting) dominates wall-clock.
 
-This module provides the third engine path: node state is flattened into
+This module provides the vectorized engine path: node state is flattened into
 contiguous numpy columns (degree/mark/priority/state), the graph into a CSR
 adjacency (:class:`GraphArrays`), and one :class:`VectorRound` subclass per
 capable algorithm advances the *whole network* one synchronous round with
@@ -24,9 +24,10 @@ a compatible point-to-point channel (CONGEST or LOCAL); radio rounds are
 vectorized inside :class:`~repro.congest.channels.BroadcastChannel` itself
 (the per-round bincount listener scan), which needs no program capability.
 
-State lives on the program instances between engagements: a runner
-:meth:`VectorRound.load`\\ s instance state into arrays lazily at its first
-round and :meth:`VectorRound.flush`\\ es arrays (and lazily-accumulated
+State lives in the network's schema columns (see
+:mod:`repro.congest.state`) between engagements: a runner
+:meth:`VectorRound.load`\\ s private copies of the columns lazily at its
+first round and :meth:`VectorRound.flush`\\ es them (and lazily-accumulated
 ledger charges) back whenever the engine leaves the vectorized regime — a
 scheduled wake appears, ``run_rounds`` truncates, or the run ends — so
 scalar and vectorized rounds interleave bit-identically.
@@ -436,10 +437,10 @@ class DrawStreams:
 class VectorRound:
     """Base class for one algorithm's vectorized whole-network round.
 
-    Subclasses implement :meth:`load` (program instances -> arrays),
+    Subclasses implement :meth:`load` (columns -> arrays),
     :meth:`step_round` (one synchronous round over arrays, updating the
     network's message counters identically to the scalar delivery), and
-    :meth:`flush_state` (arrays -> program instances, so scalar rounds can
+    :meth:`flush_state` (arrays -> columns, so scalar rounds can
     resume bit-identically).
 
     The base class owns the shared plumbing: lazily-accumulated energy
@@ -463,9 +464,10 @@ class VectorRound:
         #: engage a runner whose faults it would silently ignore.
         self.faults = network.channel.vector_faults(self.arrays)
         #: The network's schema-declared state columns (see
-        #: ``repro.congest.state``), or None in the dict-backed layout.
-        #: Column-aware kernels load/flush these with whole-array copies
-        #: instead of per-node python loops.
+        #: ``repro.congest.state``). Always bound here: the engine engages
+        #: a kernel only on a single-class population, and every kernel's
+        #: program class declares a schema. Kernels load/flush them with
+        #: whole-array copies instead of per-node python loops.
         self.state_columns = network.state_columns
         self.loaded = False
         self._pending_energy = np.zeros(self.arrays.n, dtype=np.int64)
@@ -480,7 +482,7 @@ class VectorRound:
         self.draws.profiler = network._profiler
         self._last_alive = 0
         #: Lazily-built (always_on, always_awake, halted) rank masks for
-        #: the batched awake-set assembly; valid for one engagement only
+        #: the bulk awake-set assembly; valid for one engagement only
         #: (scalar rounds in between may change any of the three), so
         #: :meth:`flush` drops them.
         self._sched_masks = None
@@ -676,7 +678,7 @@ class VectorRound:
         copy per *graph* neighbor, delivered iff the receiver is alive this
         round (always-on semantics: awake == alive, and no one halts before
         the delivery phase).  ``bits_per_copy`` is the per-sender payload
-        price (None on unpriced channels); matches the batched CONGEST
+        price (None on unpriced channels); matches the CONGEST
         channel's accounting bit for bit.  ``alive_neighbors`` lets callers
         that already computed this round's live-neighbor counts skip the
         second CSR pass.  ``keep`` is this round's channel-fault slot mask:

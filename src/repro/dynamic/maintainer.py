@@ -73,7 +73,7 @@ class RepairReport:
 
 
 class MISMaintainer:
-    """Maintain a valid MIS of an evolving graph under batched churn.
+    """Maintain a valid MIS of an evolving graph under epochs of churn.
 
     The constructor runs the initial election (epoch 0); afterwards
     :meth:`apply_epoch` keeps the invariant across each batch of events.

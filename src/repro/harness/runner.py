@@ -96,9 +96,9 @@ def _vector_capable() -> frozenset:
 #: registry at import time, not hand-maintained. For these the engine's
 #: ``"vectorized"``/default ``"auto"`` mode executes dense rounds as
 #: whole-network numpy steps; ``tests/test_engine_equivalence.py`` both
-#: proves the path bit-identical to fast/legacy for *every* registered
-#: algorithm and fails if it silently never engages for an algorithm
-#: listed here.
+#: proves the path bit-identical to the fast loop and to a naive
+#: one-step-per-round oracle for *every* registered algorithm and fails
+#: if it silently never engages for an algorithm listed here.
 VECTOR_CAPABLE_ALGORITHMS = _vector_capable()
 
 

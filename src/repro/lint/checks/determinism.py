@@ -1,8 +1,8 @@
 """RL2xx — determinism checks for per-node hooks and vector kernels.
 
 The repo's correctness story is bit-identical outputs across the
-{legacy, fast, vectorized} engine paths and across ``n_jobs`` worker
-splits.  That only holds while every random draw comes from the engine's
+{fast, vectorized} engine paths, the test suite's naive per-round
+oracle, and ``n_jobs`` worker splits.  That only holds while every random draw comes from the engine's
 per-node generators (``ctx.rng`` in hooks, ``self.draws`` in kernels) in
 a deterministic order: ambient RNG, wall-clock reads, and hash-ordered
 iteration each break it in ways the equivalence matrices catch late (or

@@ -3,9 +3,9 @@
 The array-native core (PR 9) moved per-node state into network-owned
 typed columns declared by ``state_schema()``; attributes staged in
 ``__init__`` keep living in the instance ``__dict__``.  Any *other*
-``self.<attr>`` a hook touches silently bypasses both layouts: it is
+``self.<attr>`` a hook touches silently bypasses the columns: it is
 invisible to vector kernels, lost on ``bind_state``/``unbind_state``
-migration, and splits behavior between the column and dict layouts.
+migration, and splits behavior between bound and unbound programs.
 These checks pin the contract at the AST level.
 """
 
@@ -49,9 +49,8 @@ class UndeclaredStateCheck(Check):
 An attribute first assigned inside on_start/on_round/on_receive (or a
 helper they call) lives only in that instance's __dict__: the network's
 column allocator never sees it, vector kernels cannot load or flush it,
-and bind_state/unbind_state migration drops it. The two state layouts
-({column, dict}) then diverge exactly where the equivalence suite cannot
-look. Declare the field in state_schema(), stage it in __init__, or —
+and bind_state/unbind_state migration drops it. Bound and unbound
+programs then diverge exactly where the equivalence suite cannot look. Declare the field in state_schema(), stage it in __init__, or —
 for genuinely derived scratch values — keep it a local variable.
 """
     bad_example = """
@@ -122,8 +121,8 @@ class WidthReferenceCheck(Check):
 A string width is resolved at column-allocation time with
 getattr(template_program, width): if no __init__ assignment (or class
 attribute) backs that name, every schema-bound network dies with an
-AttributeError at bind — but only in column mode, so the dict-layout
-test matrix stays green while production breaks.
+AttributeError at bind — while tests that only build unbound programs
+(mixed populations, direct hook calls) stay green.
 """
     bad_example = """
 class P(NodeProgram):

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from oracles.channels import ScalarScanBroadcastChannel
 from repro import graphs
 from repro.baselines import luby_mis, radio_decay_mis
 from repro.analysis import verify_mis
@@ -63,8 +64,7 @@ class TestMakeChannel:
 
     def test_default_is_batched_congest(self):
         channel = make_channel(None)
-        assert isinstance(channel, CongestChannel)
-        assert channel.batched
+        assert type(channel) is CongestChannel
 
     def test_scope_sets_default_and_nests(self):
         with channel_scope("local"):
@@ -321,6 +321,13 @@ class TestRadioSafety:
         run_algorithm("luby", graph, channel="local")
 
 
+#: The production radio medium and the per-listener reference scan.
+RADIO_SCANS = [
+    "broadcast",
+    pytest.param(ScalarScanBroadcastChannel, id="broadcast-scalar"),
+]
+
+
 class TestBroadcastCollisionAccounting:
     """Regression pins for the radio energy/collision bookkeeping.
 
@@ -328,11 +335,11 @@ class TestBroadcastCollisionAccounting:
     >= 2-transmitter neighborhood must be billed its transmit slot only —
     half-duplex means it never listens, so it can never be charged an
     additional collision (double-billing). Pinned on a hand-built 3-node
-    graph for both the bincount listener scan (default) and the scalar
-    reference scan.
+    graph for both the bincount listener scan and the scalar reference
+    scan (:class:`oracles.channels.ScalarScanBroadcastChannel`).
     """
 
-    @pytest.mark.parametrize("channel", ["broadcast", "broadcast-scalar"])
+    @pytest.mark.parametrize("channel", RADIO_SCANS)
     def test_listener_between_two_transmitters(self, channel):
         # Triangle: 1 and 2 transmit, 0 listens and suffers one collision.
         graph = nx.complete_graph(3)
@@ -352,7 +359,7 @@ class TestBroadcastCollisionAccounting:
         assert programs[2].heard[0] == []
         assert programs[0].heard[0] == [(-1, COLLISION)]
 
-    @pytest.mark.parametrize("channel", ["broadcast", "broadcast-scalar"])
+    @pytest.mark.parametrize("channel", RADIO_SCANS)
     def test_all_transmit_no_collision_charges(self, channel):
         # Every node transmits: nobody listens, so no collisions at all.
         graph = nx.complete_graph(3)
@@ -365,7 +372,7 @@ class TestBroadcastCollisionAccounting:
         assert metrics.messages_dropped == 0
         assert network.ledger.snapshot() == {0: 1, 1: 1, 2: 1}
 
-    @pytest.mark.parametrize("channel", ["broadcast", "broadcast-scalar"])
+    @pytest.mark.parametrize("channel", RADIO_SCANS)
     def test_clean_reception_next_to_a_collision(self, channel):
         # Path 0-1-2-3 with 1 and 3 transmitting: 0 hears 1 cleanly, 2
         # collides; per-node billing stays exact.
@@ -388,13 +395,14 @@ class TestBroadcastCollisionAccounting:
         bit, on outputs, metrics, and per-node ledgers."""
         graph = graphs.make_family("gnp_log_degree", 96, seed=seed)
         runs = {}
-        for channel in ("broadcast", "broadcast-scalar"):
+        for channel in ("broadcast", ScalarScanBroadcastChannel):
             ledger = EnergyLedger(graph.nodes)
             result = radio_decay_mis(
                 graph, seed=seed, ledger=ledger, channel=channel
             )
             runs[channel] = (result, ledger.snapshot())
-        vectorized, scalar = runs["broadcast"], runs["broadcast-scalar"]
+        vectorized = runs["broadcast"]
+        scalar = runs[ScalarScanBroadcastChannel]
         assert vectorized[0].mis == scalar[0].mis
         assert vectorized[0].metrics == scalar[0].metrics
         assert vectorized[1] == scalar[1]

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from oracles.naive_engine import naive_run
 from repro import graphs
 from repro.baselines import LubyProgram
 from repro.congest import (
@@ -103,42 +104,42 @@ class TestNetworkTrace:
 
 class TestIdleSpanRoundTrip:
     """Compact idle spans must expand to exactly the per-round view the
-    legacy engine records (satellite of the channel-layer PR)."""
+    naive per-round loop records (satellite of the channel-layer PR)."""
 
     def _synthetic_pair(self):
-        """The same execution recorded both ways: fast (spans) and legacy
+        """The same execution recorded both ways: fast (spans) and per-round
         (one explicit record per round, idle rounds absent from records
-        only when truly empty — the legacy engine records every round)."""
+        only when truly empty — the naive loop records every round)."""
         from repro.congest import NetworkTrace
 
         fast = NetworkTrace()
-        legacy = NetworkTrace()
+        per_round = NetworkTrace()
         # Round 0: nodes {0, 1} awake, 2 sent / 1 delivered / 1 dropped.
-        for trace in (fast, legacy):
+        for trace in (fast, per_round):
             trace.record(0, {0, 1}, 2, 1, 1)
         # Rounds 1..4 idle.
         fast.record_idle(1, 4)
         for r in range(1, 5):
-            legacy.record(r, set(), 0, 0, 0)
+            per_round.record(r, set(), 0, 0, 0)
         # Round 5: node 2 awake.
-        for trace in (fast, legacy):
+        for trace in (fast, per_round):
             trace.record(5, {2}, 0, 0, 0)
         # Rounds 6..6: a single-round span.
         fast.record_idle(6, 6)
-        legacy.record(6, set(), 0, 0, 0)
+        per_round.record(6, set(), 0, 0, 0)
         # Round 7: all awake.
-        for trace in (fast, legacy):
+        for trace in (fast, per_round):
             trace.record(7, {0, 1, 2}, 3, 3, 0)
-        return fast, legacy
+        return fast, per_round
 
     def test_derived_views_match(self):
-        fast, legacy = self._synthetic_pair()
-        assert fast.rounds == legacy.rounds == 8
-        assert fast.awake_counts() == legacy.awake_counts()
+        fast, per_round = self._synthetic_pair()
+        assert fast.rounds == per_round.rounds == 8
+        assert fast.awake_counts() == per_round.awake_counts()
         for node in (0, 1, 2):
-            assert fast.wake_rounds_of(node) == legacy.wake_rounds_of(node)
-        assert fast.message_totals() == legacy.message_totals()
-        assert fast.sleep_diagram([0, 1, 2]) == legacy.sleep_diagram([0, 1, 2])
+            assert fast.wake_rounds_of(node) == per_round.wake_rounds_of(node)
+        assert fast.message_totals() == per_round.message_totals()
+        assert fast.sleep_diagram([0, 1, 2]) == per_round.sleep_diagram([0, 1, 2])
 
     def test_span_validation(self):
         import pytest
@@ -148,9 +149,9 @@ class TestIdleSpanRoundTrip:
         with pytest.raises(ValueError):
             NetworkTrace().record_idle(5, 4)
 
-    def test_engine_round_trip_fast_vs_legacy(self):
-        """A real gappy run: the engine's compact spans reproduce the legacy
-        per-round trace through every derived view."""
+    def test_engine_round_trip_fast_vs_naive(self):
+        """A real gappy run: the engine's compact spans reproduce the naive
+        loop's per-round trace through every derived view."""
 
         class Gappy(NodeProgram):
             def on_start(self, ctx):
@@ -164,22 +165,25 @@ class TestIdleSpanRoundTrip:
                 if ctx.round >= 33:
                     ctx.halt()
 
-        def run(legacy):
+        def run(naive):
             graph = graphs.path(4)
             network = Network(
                 graph, {v: Gappy() for v in graph.nodes}, trace=True
             )
-            network.run(legacy=legacy)
+            if naive:
+                naive_run(network)
+            else:
+                network.run()
             return network.trace
 
-        fast, legacy = run(False), run(True)
-        assert fast.idle_spans and not legacy.idle_spans  # genuinely compact
-        assert fast.rounds == legacy.rounds
-        assert fast.awake_counts() == legacy.awake_counts()
+        fast, naive = run(False), run(True)
+        assert fast.idle_spans and not naive.idle_spans  # genuinely compact
+        assert fast.rounds == naive.rounds
+        assert fast.awake_counts() == naive.awake_counts()
         for node in range(4):
-            assert fast.wake_rounds_of(node) == legacy.wake_rounds_of(node)
-        assert fast.message_totals() == legacy.message_totals()
-        assert fast.sleep_diagram(range(4)) == legacy.sleep_diagram(range(4))
+            assert fast.wake_rounds_of(node) == naive.wake_rounds_of(node)
+        assert fast.message_totals() == naive.message_totals()
+        assert fast.sleep_diagram(range(4)) == naive.sleep_diagram(range(4))
 
 
 class TestStaleInboxViewsAcrossFastForward:
@@ -189,7 +193,7 @@ class TestStaleInboxViewsAcrossFastForward:
     the backing slot buffers are recycled at ``finish_round``. The fast
     path skips idle rounds entirely, so a view captured before an idle
     stretch and first *read* at the post-stretch wake must raise — on the
-    fast-forwarding engine exactly as on the legacy per-round loop — and
+    fast-forwarding engine exactly as on the naive per-round loop — and
     a view must never survive the channel being re-bound to a new network.
     """
 
@@ -213,18 +217,21 @@ class TestStaleInboxViewsAcrossFastForward:
                     self.error = error
                 ctx.halt()
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_view_from_before_idle_stretch_raises(self, legacy):
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_view_from_before_idle_stretch_raises(self, naive):
         graph = nx.path_graph(2)
         programs = {v: self._Stasher() for v in graph.nodes}
         network = Network(graph, programs)
-        network.run(legacy=legacy)
+        if naive:
+            naive_run(network)
+        else:
+            network.run()
         assert network.metrics().rounds == 41
         for node, program in programs.items():
             assert program.stashed is not None, node
             assert isinstance(program.error, ChannelError), (
                 f"node {node}: stale inbox view survived the idle "
-                f"fast-forward (legacy={legacy})"
+                f"fast-forward (naive={naive})"
             )
 
     def test_view_does_not_survive_channel_rebind(self):

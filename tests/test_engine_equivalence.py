@@ -1,24 +1,30 @@
-"""Fast path ⇔ legacy loop ⇔ channel-layer equivalence regression.
+"""Production engine paths ⇔ test-suite oracles, bit for bit.
 
-The engine's idle-round fast-forward and cached round loop are pure
-optimizations: for every algorithm and workload, outputs, metrics, and
-ledger state must be *bit-identical* to the naive one-step-per-round loop
-(``Network.run(legacy=True)`` / :func:`repro.congest.legacy_engine`). This
-suite locks that in for every registered algorithm on several graph
-families, and for hand-built schedules that exercise the tricky corners
-(idle gaps, mid-run halts, re-scheduling, truncated ``run_rounds``).
+The engine's idle-round fast-forward, cached round loop, and vectorized
+dense rounds are pure optimizations: for every algorithm and workload,
+outputs, metrics, and ledger state must be *bit-identical* to the naive
+one-step-per-round loop (:mod:`oracles.naive_engine`). This suite locks
+that in for every registered algorithm on several graph families, and for
+hand-built schedules that exercise the tricky corners (idle gaps, mid-run
+halts, re-scheduling, truncated ``run_rounds``).
 
-The channel layer adds a second axis: ``CongestChannel(batched=True)``
-(flat per-edge buffers, lazy inbox views) must be bit-identical to
-``CongestChannel(batched=False)`` — the pre-refactor per-``Message``
-delivery loop kept verbatim as the reference semantics — on *both* engine
-paths. The four-way matrix {batched, per-message} × {fast, legacy} proves
-the batched hot path preserves the seed semantics exactly.
+The channel layer adds a second axis: ``CongestChannel`` (flat per-edge
+slot buffers, lazy inbox views) must be bit-identical to
+:class:`oracles.channels.PerMessageCongestChannel` — the pre-refactor
+per-``Message`` delivery loop kept verbatim as the reference semantics —
+on the production engine *and* the naive loop.
 """
 
 import networkx as nx
 import pytest
 
+from oracles.channels import PerMessageCongestChannel
+from oracles.naive_engine import (
+    engine_scope,
+    naive_engine,
+    naive_run,
+    naive_run_rounds,
+)
 from repro import graphs
 from repro.baselines import LubyProgram
 from repro.congest import (
@@ -26,14 +32,12 @@ from repro.congest import (
     Network,
     NodeProgram,
     VectorizationError,
+    VectorRound,
     channel_scope,
-    column_state,
     engine_mode,
-    legacy_engine,
     reset_vector_stats,
     vector_stats,
 )
-from repro.congest.network import set_legacy_mode
 from repro.harness import (
     ALGORITHMS,
     VECTOR_CAPABLE_ALGORITHMS,
@@ -65,46 +69,38 @@ def test_algorithms_identical_across_engine_paths(algorithm, family):
 
     fast_ledger = EnergyLedger(graph.nodes)
     fast = run_algorithm(algorithm, graph, seed=5, ledger=fast_ledger)
-    with legacy_engine():
-        legacy_ledger = EnergyLedger(graph.nodes)
-        legacy = run_algorithm(algorithm, graph, seed=5, ledger=legacy_ledger)
+    with naive_engine():
+        naive_ledger = EnergyLedger(graph.nodes)
+        naive = run_algorithm(algorithm, graph, seed=5, ledger=naive_ledger)
 
-    assert fast.mis == legacy.mis
-    assert _metrics_tuple(fast.metrics) == _metrics_tuple(legacy.metrics)
-    assert fast.metrics == legacy.metrics  # includes per-phase breakdowns
-    assert fast_ledger.snapshot() == legacy_ledger.snapshot()
+    assert fast.mis == naive.mis
+    assert _metrics_tuple(fast.metrics) == _metrics_tuple(naive.metrics)
+    assert fast.metrics == naive.metrics  # includes per-phase breakdowns
+    assert fast_ledger.snapshot() == naive_ledger.snapshot()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_batched_channel_identical_to_per_message_reference(algorithm, family):
-    """Batched per-edge-buffer delivery == the seed per-Message semantics.
+    """Slot-buffer delivery == the seed per-Message semantics.
 
-    ``congest-per-message`` is the pre-channel-layer delivery loop kept
-    verbatim, so equality here (on the fast *and* the legacy engine)
-    certifies the batched channel against the original engine bit for bit:
-    same outputs, same metrics (message counts, bit totals, maxima), same
-    per-node energy ledgers.
+    :class:`PerMessageCongestChannel` is the pre-channel-layer delivery
+    loop kept verbatim, so equality here (on the production engine *and*
+    the naive loop) certifies the slot-buffer channel against the original
+    engine bit for bit: same outputs, same metrics (message counts, bit
+    totals, maxima), same per-node energy ledgers.
     """
     graph = graphs.make_family(family, N, seed=5)
 
     results = {}
-    for channel in ("congest", "congest-per-message"):
-        for use_legacy in (False, True):
+    for channel in ("congest", PerMessageCongestChannel):
+        for mode in ("auto", "naive"):
             ledger = EnergyLedger(graph.nodes)
-            with channel_scope(channel):
-                if use_legacy:
-                    with legacy_engine():
-                        result = run_algorithm(
-                            algorithm, graph, seed=5, ledger=ledger
-                        )
-                else:
-                    result = run_algorithm(
-                        algorithm, graph, seed=5, ledger=ledger
-                    )
-            results[(channel, use_legacy)] = (result, ledger.snapshot())
+            with channel_scope(channel), engine_scope(mode):
+                result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
+            results[(channel, mode)] = (result, ledger.snapshot())
 
-    reference, reference_ledger = results[("congest-per-message", True)]
+    reference, reference_ledger = results[(PerMessageCongestChannel, "naive")]
     for key, (result, ledger_snapshot) in results.items():
         assert result.mis == reference.mis, key
         assert _metrics_tuple(result.metrics) == \
@@ -116,7 +112,7 @@ def test_batched_channel_identical_to_per_message_reference(algorithm, family):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_three_way_engine_matrix(algorithm, family):
-    """fast == legacy == vectorized, bit for bit, for every algorithm.
+    """fast == naive oracle == vectorized, bit for bit, for every algorithm.
 
     The vectorized dense-round path must preserve outputs, metrics,
     per-node ledgers, *and the RNG draw order* (per-node streams are
@@ -128,13 +124,13 @@ def test_three_way_engine_matrix(algorithm, family):
     graph = graphs.make_family(family, N, seed=5)
 
     results = {}
-    for mode in ("fast", "legacy", "auto"):
+    for mode in ("fast", "naive", "auto"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_mode(mode):
+        with engine_scope(mode):
             result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
         results[mode] = (result, ledger.snapshot())
 
-    reference, reference_ledger = results["legacy"]
+    reference, reference_ledger = results["naive"]
     for mode, (result, ledger_snapshot) in results.items():
         assert result.mis == reference.mis, mode
         assert _metrics_tuple(result.metrics) == \
@@ -183,18 +179,19 @@ def test_forced_vectorized_raises_for_incapable_programs(algorithm):
 def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
     """The paper's own algorithms now run end-to-end under a *forced*
     vectorized engine (every network they build is kernel-capable), bit
-    identical to both scalar paths — including the sleep-scheduled Phase-I
-    networks, which the schedule-aware kernels cover."""
+    identical to the fast loop and the naive oracle — including the
+    sleep-scheduled Phase-I networks, which the schedule-aware kernels
+    cover."""
     graph = graphs.make_family(family, N, seed=5)
 
     results = {}
-    for mode in ("fast", "legacy", "vectorized"):
+    for mode in ("fast", "naive", "vectorized"):
         ledger = EnergyLedger(graph.nodes)
-        with engine_mode(mode):
+        with engine_scope(mode):
             result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
         results[mode] = (result, ledger.snapshot())
 
-    reference, reference_ledger = results["legacy"]
+    reference, reference_ledger = results["naive"]
     for mode, (result, ledger_snapshot) in results.items():
         assert result.mis == reference.mis, mode
         assert _metrics_tuple(result.metrics) == \
@@ -203,106 +200,28 @@ def test_forced_vectorized_pipelines_bit_identical(algorithm, family):
         assert ledger_snapshot == reference_ledger, mode
 
 
-class TestColumnStateEquivalence:
-    """Dict-backed legacy state ⇔ schema-declared state columns.
+@pytest.mark.parametrize("algorithm", sorted(VECTOR_CAPABLE_ALGORITHMS))
+def test_kernels_always_find_state_columns_bound(algorithm, monkeypatch):
+    """Every kernel engagement sees the network's state columns bound.
 
-    Programs that declare a ``state_schema()`` normally live in flat numpy
-    columns owned by the network (scalar hooks see per-node row views).
-    ``column_state(False)`` disables the allocation so every program falls
-    back to plain instance attributes — the pre-refactor representation.
-    The two representations must be bit-identical on every engine path:
-    same outputs, metrics, per-node ledgers, and RNG draw order.
+    Kernels load and flush ``network.state_columns`` unconditionally; that
+    is safe only because the engine engages a kernel on single-class,
+    schema-declaring populations, which always get columns. This pins the
+    invariant for every vector-capable algorithm.
     """
+    engaged = []
+    step = VectorRound.step
 
-    @staticmethod
-    def _run(algorithm, graph, mode, columns):
-        ledger = EnergyLedger(graph.nodes)
-        with column_state(columns):
-            with engine_mode(mode):
-                result = run_algorithm(algorithm, graph, seed=5, ledger=ledger)
-        return result, ledger.snapshot()
+    def checked_step(self):
+        engaged.append(type(self).__name__)
+        assert self.network.state_columns is not None, type(self).__name__
+        assert self.state_columns is self.network.state_columns
+        step(self)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_column_and_dict_state_identical_across_engines(
-        self, algorithm, family
-    ):
-        graph = graphs.make_family(family, N, seed=5)
-        reference, reference_ledger = self._run(
-            algorithm, graph, "legacy", columns=False
-        )
-        for mode in ("fast", "legacy", "auto"):
-            for columns in (False, True):
-                key = (mode, columns)
-                result, ledger_snapshot = self._run(
-                    algorithm, graph, mode, columns
-                )
-                assert result.mis == reference.mis, key
-                assert _metrics_tuple(result.metrics) == \
-                    _metrics_tuple(reference.metrics), key
-                assert result.metrics == reference.metrics, key
-                assert ledger_snapshot == reference_ledger, key
-
-    @pytest.mark.parametrize("columns", [False, True])
-    @pytest.mark.parametrize("cut", [1, 3, 6, 9])
-    def test_truncated_vectorized_resume_matches_in_both_representations(
-        self, columns, cut
-    ):
-        """Mid-cycle truncation: the kernel flush must restore *whichever*
-        state representation the programs use, so a scalar continuation
-        matches a pure scalar run under dict state and column state alike."""
-        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-
-        def fresh():
-            return Network(
-                graph, {v: LubyProgram() for v in graph.nodes}, seed=7
-            )
-
-        with column_state(columns):
-            reference = fresh()
-            reference.run(engine="legacy")
-            hybrid = fresh()
-            hybrid.run_rounds(cut, engine="vectorized")
-            assert hybrid.vector_rounds == cut
-            hybrid.run(engine="fast")
-        assert hybrid.outputs("in_mis") == reference.outputs("in_mis")
-        assert hybrid.outputs("decided_round") == \
-            reference.outputs("decided_round")
-        assert hybrid.metrics() == reference.metrics()
-        assert hybrid.ledger.snapshot() == reference.ledger.snapshot()
-
-    def test_fault_keep_masks_identical_across_representations(self):
-        """Lossy-channel keep-masks thread through the vectorized path the
-        same way whether node state lives in columns or instance dicts."""
-        graph = graphs.make_family("gnp_log_degree", 96, seed=3)
-        spec = "lossy(drop=0.15,seed=5):congest"
-
-        def measure(mode, columns):
-            ledger = EnergyLedger(graph.nodes)
-            with column_state(columns):
-                with channel_scope(spec):
-                    with engine_mode(mode):
-                        result = run_algorithm(
-                            "luby", graph, seed=5, ledger=ledger
-                        )
-            return result, ledger.snapshot()
-
-        # Active faults: fast and legacy share one per-message stream; the
-        # vectorized path draws per-edge-slot keep masks (its own seeded
-        # stream, deterministic but distinct). Column-vs-dict state must be
-        # bit-identical *within* every mode regardless.
-        for mode in ("fast", "legacy", "vectorized"):
-            reference, reference_ledger = measure(mode, columns=False)
-            assert reference.metrics.messages_dropped > 0, mode
-            result, ledger_snapshot = measure(mode, columns=True)
-            assert result.mis == reference.mis, mode
-            assert result.metrics == reference.metrics, mode
-            assert ledger_snapshot == reference_ledger, mode
-        fast, fast_ledger = measure("fast", columns=True)
-        legacy, legacy_ledger = measure("legacy", columns=True)
-        assert fast.mis == legacy.mis
-        assert fast.metrics == legacy.metrics
-        assert fast_ledger == legacy_ledger
+    monkeypatch.setattr(VectorRound, "step", checked_step)
+    graph = graphs.make_family("gnp_log_degree", N, seed=5)
+    run_algorithm(algorithm, graph, seed=5)
+    assert engaged, f"{algorithm}: no kernel engaged"
 
 
 class TestScheduleAwareKernels:
@@ -351,7 +270,7 @@ class TestScheduleAwareKernels:
         for family, seed in self.FAMILY_SEEDS:
             graph = graphs.make_family(family, 96, seed=seed)
             reference = make_network(graph, trace=True)
-            reference.run_rounds(total_rounds, engine="legacy")
+            naive_run_rounds(reference, total_rounds)
             vectorized = make_network(graph, trace=True)
             vectorized.run_rounds(total_rounds, engine="vectorized")
             assert vectorized.vector_rounds > 0, family
@@ -382,7 +301,7 @@ class TestScheduleAwareKernels:
         continuation matches a pure scalar run."""
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
         reference = self._alg1_network(graph)
-        reference.run_rounds(3 * 32, engine="legacy")
+        naive_run_rounds(reference, 3 * 32)
         hybrid = self._alg1_network(graph)
         hybrid.run_rounds(cut, engine="vectorized")
         hybrid.run_rounds(3 * 32 - cut, engine="fast")
@@ -395,7 +314,7 @@ class TestScheduleAwareKernels:
         total = 4 * 6 + 4
         graph = graphs.make_family("gnp_log_degree", 96, seed=3)
         reference = self._alg2_network(graph)
-        reference.run_rounds(total, engine="legacy")
+        naive_run_rounds(reference, total)
         hybrid = self._alg2_network(graph)
         hybrid.run_rounds(cut, engine="vectorized")
         hybrid.run_rounds(total - cut, engine="fast")
@@ -422,7 +341,7 @@ class TestScheduleAwareKernels:
             )
 
         reference = fresh()
-        reference.run(engine="legacy")
+        naive_run(reference)
         hybrid = fresh()
         hybrid.run_rounds(cut, engine="vectorized")
         assert hybrid.vector_rounds == cut
@@ -443,7 +362,7 @@ def test_forced_vectorized_ignores_small_graph_floor():
     with engine_mode("vectorized"):
         forced = run_algorithm("luby", graph, seed=5)
     assert vector_stats()["rounds"] > 0
-    with engine_mode("legacy"):
+    with naive_engine():
         reference = run_algorithm("luby", graph, seed=5)
     assert forced.mis == reference.mis
     assert forced.metrics == reference.metrics
@@ -475,21 +394,21 @@ def test_heterogeneous_program_parameters_decline_vectorization():
     assert network.vector_rounds == 0  # declined, ran scalar
     with pytest.raises(VectorizationError, match="declined"):
         make(mixed=True).run(engine="vectorized")
-    legacy = make(mixed=True)
-    legacy.run(engine="legacy")
-    assert network.outputs("in_mis") == legacy.outputs("in_mis")
-    assert network.metrics() == legacy.metrics()
+    reference = make(mixed=True)
+    naive_run(reference)
+    assert network.outputs("in_mis") == reference.outputs("in_mis")
+    assert network.metrics() == reference.metrics()
     # Homogeneous parameters still vectorize.
     uniform = make(mixed=False)
     uniform.run()
     assert uniform.vector_rounds > 0
 
 
-@pytest.mark.parametrize("cut", [5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("cut", [1, 3, 5, 6, 7, 8, 9, 10])
 def test_vectorized_truncation_resumes_scalar_bit_identically(cut):
     """run_rounds may stop the vectorized path mid-cycle; the flush must
-    restore program-instance state (including inbox reconstruction and the
-    per-node RNG positions) so a scalar continuation matches a pure run."""
+    restore the state columns (plus inbox reconstruction and the per-node
+    RNG positions) so a scalar continuation matches a pure run."""
     graph = graphs.make_family("gnp_log_degree", 96, seed=3)
 
     def fresh():
@@ -498,7 +417,7 @@ def test_vectorized_truncation_resumes_scalar_bit_identically(cut):
         )
 
     reference = fresh()
-    reference.run(engine="legacy")
+    naive_run(reference)
 
     hybrid = fresh()
     hybrid.run_rounds(cut, engine="vectorized")
@@ -533,7 +452,7 @@ class GappySleeper(NodeProgram):
 
 
 class TestScheduledWorkloads:
-    def _run(self, legacy, runner):
+    def _run(self, mode, runner):
         graph = graphs.gnp(24, 0.15, seed=9)
         ledger = EnergyLedger(graph.nodes)
         network = Network(
@@ -543,58 +462,42 @@ class TestScheduledWorkloads:
             ledger=ledger,
             trace=True,
         )
-        runner(network, legacy)
+        with engine_scope(mode):
+            runner(network)
         return network
 
     def _assert_identical(self, runner):
-        fast = self._run(False, runner)
-        legacy = self._run(True, runner)
-        assert fast.outputs("wakes") == legacy.outputs("wakes")
-        assert fast.outputs("heard") == legacy.outputs("heard")
-        assert fast.metrics() == legacy.metrics()
-        assert fast.ledger.snapshot() == legacy.ledger.snapshot()
+        fast = self._run("fast", runner)
+        naive = self._run("naive", runner)
+        assert fast.outputs("wakes") == naive.outputs("wakes")
+        assert fast.outputs("heard") == naive.outputs("heard")
+        assert fast.metrics() == naive.metrics()
+        assert fast.ledger.snapshot() == naive.ledger.snapshot()
         # Trace-derived views agree even though the fast path stores idle
         # stretches as compact spans rather than per-round records.
-        assert fast.trace.rounds == legacy.trace.rounds
-        assert fast.trace.awake_counts() == legacy.trace.awake_counts()
+        assert fast.trace.rounds == naive.trace.rounds
+        assert fast.trace.awake_counts() == naive.trace.awake_counts()
         for node in fast.contexts:
             assert fast.trace.wake_rounds_of(node) == \
-                legacy.trace.wake_rounds_of(node)
-        assert fast.trace.message_totals() == legacy.trace.message_totals()
+                naive.trace.wake_rounds_of(node)
+        assert fast.trace.message_totals() == naive.trace.message_totals()
         assert fast.trace.sleep_diagram(sorted(fast.contexts)) == \
-            legacy.trace.sleep_diagram(sorted(legacy.contexts))
+            naive.trace.sleep_diagram(sorted(naive.contexts))
 
     def test_run_to_completion(self):
-        self._assert_identical(lambda net, legacy: net.run(legacy=legacy))
+        self._assert_identical(lambda net: net.run())
 
     def test_run_rounds_truncated_mid_gap(self):
         # 55 rounds ends inside an idle stretch: the fast path must still
         # advance simulated time to exactly the same round.
-        self._assert_identical(
-            lambda net, legacy: net.run_rounds(55, legacy=legacy)
-        )
+        self._assert_identical(lambda net: net.run_rounds(55))
 
     def test_run_rounds_then_run(self):
-        def runner(net, legacy):
-            net.run_rounds(10, legacy=legacy)
-            net.run(legacy=legacy)
+        def runner(net):
+            net.run_rounds(10)
+            net.run()
 
         self._assert_identical(runner)
-
-
-def test_set_legacy_mode_restores_enclosing_mode():
-    """The boolean toggle must not stomp a 4-way engine-mode scope."""
-    from repro.congest import get_engine_mode
-
-    assert get_engine_mode() == "auto"
-    with engine_mode("fast"):
-        set_legacy_mode(True)
-        assert get_engine_mode() == "legacy"
-        set_legacy_mode(False)
-        assert get_engine_mode() == "fast"  # not reset to "auto"
-        set_legacy_mode(False)  # idempotent outside legacy
-        assert get_engine_mode() == "fast"
-    assert get_engine_mode() == "auto"
 
 
 def test_module_level_switch():
@@ -605,15 +508,13 @@ def test_module_level_switch():
             ctx.output["ran"] = ctx.round
             ctx.halt()
 
-    set_legacy_mode(True)
-    try:
-        legacy_net = Network(graph, {v: Once() for v in graph.nodes})
-        legacy_metrics = legacy_net.run()
-    finally:
-        set_legacy_mode(False)
-    fast_net = Network(graph, {v: Once() for v in graph.nodes})
-    assert fast_net.run() == legacy_metrics
-    assert fast_net.outputs("ran") == legacy_net.outputs("ran")
+    with naive_engine():
+        naive_net = Network(graph, {v: Once() for v in graph.nodes})
+        naive_metrics = naive_net.run()
+    with engine_mode("fast"):
+        fast_net = Network(graph, {v: Once() for v in graph.nodes})
+        assert fast_net.run() == naive_metrics
+    assert fast_net.outputs("ran") == naive_net.outputs("ran")
 
 
 def test_pruned_halt_schedules_agree_with_pending_work():
@@ -628,8 +529,8 @@ def test_pruned_halt_schedules_agree_with_pending_work():
             ctx.halt()  # round-500000 entry must be pruned here
 
     graph = nx.path_graph(3)
-    for legacy in (False, True):
+    for run in (Network.run, naive_run):
         network = Network(graph, {v: ScheduleThenHalt() for v in graph.nodes})
-        metrics = network.run(max_rounds=10_000, legacy=legacy)
+        metrics = run(network, max_rounds=10_000)
         assert metrics.rounds == 2  # not 500_001, and no limit error
         assert not network.has_pending_work()

@@ -5,7 +5,7 @@ The two contracts everything else builds on:
 * **zero-rate transparency** — an inactive wrapper (drop/flip/jam rate 0,
   empty fault plan) draws no randomness and returns every inbox
   untouched, so a wrapped run is bit-identical to the unwrapped one on
-  every engine path (legacy, fast, vectorized);
+  every engine path (fast, vectorized) and on the naive oracle loop;
 * **fault determinism** — the fault stream is seeded independently of the
   algorithm RNG (a per-round ``SeedSequence([fault_seed, round])``), so
   the same fault seed reproduces the identical faulty run, serially and
@@ -15,12 +15,12 @@ The two contracts everything else builds on:
 import numpy as np
 import pytest
 
+from oracles.naive_engine import engine_scope, naive_engine
 from repro.congest import (
     BroadcastChannel,
     ChannelError,
     CongestChannel,
     VectorizationError,
-    legacy_engine,
     make_channel,
     set_engine_mode,
 )
@@ -66,7 +66,7 @@ def _reset_engine():
 
 # -- zero-rate transparency -----------------------------------------------
 
-ENGINES = ["legacy", "fast", "auto"]
+ENGINES = ["naive", "fast", "auto"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -80,9 +80,9 @@ ENGINES = ["legacy", "fast", "auto"]
 )
 def test_zero_rate_wrapper_is_transparent(engine, spec):
     graph = _graph()
-    set_engine_mode(engine)
-    bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
-    wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
+    with engine_scope(engine):
+        bare = run_algorithm("luby", graph, seed=SEED, channel="congest")
+        wrapped = run_algorithm("luby", graph, seed=SEED, channel=spec)
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
 
@@ -99,11 +99,13 @@ def test_zero_rate_transparent_on_forced_vectorized():
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_rate_jammer_is_transparent(engine):
     graph = _graph()
-    set_engine_mode(engine)
-    bare = run_algorithm("radio_decay", graph, seed=SEED, channel="broadcast")
-    wrapped = run_algorithm(
-        "radio_decay", graph, seed=SEED, channel="jam(rate=0.0):broadcast"
-    )
+    with engine_scope(engine):
+        bare = run_algorithm(
+            "radio_decay", graph, seed=SEED, channel="broadcast"
+        )
+        wrapped = run_algorithm(
+            "radio_decay", graph, seed=SEED, channel="jam(rate=0.0):broadcast"
+        )
     assert _fingerprint(bare) == _fingerprint(wrapped)
 
 
@@ -151,14 +153,14 @@ def test_fault_seed_independent_of_algorithm_seed():
     assert _fingerprint(a) != _fingerprint(b)
 
 
-def test_fast_and_legacy_agree_under_active_faults():
+def test_fast_and_naive_agree_under_active_faults():
     graph = _graph()
     spec = "lossy(drop=0.15,seed=5):congest"
     set_engine_mode("fast")
     fast = run_algorithm("luby", graph, seed=SEED, channel=spec)
-    with legacy_engine():
-        legacy = run_algorithm("luby", graph, seed=SEED, channel=spec)
-    assert _fingerprint(fast) == _fingerprint(legacy)
+    with naive_engine():
+        naive = run_algorithm("luby", graph, seed=SEED, channel=spec)
+    assert _fingerprint(fast) == _fingerprint(naive)
 
 
 def test_faulty_runs_identical_across_n_jobs():

@@ -10,7 +10,7 @@ experiments — but they must never hang, crash, or lose determinism.
 
 import pytest
 
-from repro.congest import set_engine_mode
+from oracles.naive_engine import engine_scope
 from repro.graphs import make_family
 from repro.harness import ALGORITHMS, run_algorithm
 from repro.harness.runner import (
@@ -32,7 +32,7 @@ def _channels(algorithm):
 
 
 def _engines(algorithm, channel):
-    engines = ["legacy", "fast"]
+    engines = ["naive", "fast"]
     if algorithm in VECTOR_CAPABLE_ALGORITHMS and channel.startswith("lossy"):
         engines.append("vectorized")
     return engines
@@ -46,18 +46,12 @@ MATRIX = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _reset_engine():
-    yield
-    set_engine_mode("auto")
-
-
 @pytest.mark.parametrize("algorithm,channel,engine", MATRIX)
 def test_faulty_run_terminates_deterministically(algorithm, channel, engine):
-    set_engine_mode(engine)
     graph = make_family("gnp_log_degree", N, seed=SEED)
-    first = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
-    second = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
+    with engine_scope(engine):
+        first = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
+        second = run_algorithm(algorithm, graph, seed=SEED, channel=channel)
     assert first.rounds > 0
     assert first.mis == second.mis
     assert first.rounds == second.rounds

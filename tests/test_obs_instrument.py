@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from oracles.naive_engine import engine_scope
 from repro import graphs
 from repro.baselines import LubyProgram
 from repro.congest import Network, engine_mode
@@ -89,7 +90,7 @@ class TestEventStream:
     def _run(self, mode, algorithm="luby", n=80):
         rec = RecordingInstrument()
         graph = nx.gnp_random_graph(n, 0.1, seed=1)
-        with engine_mode(mode), instrument_scope(rec):
+        with engine_scope(mode), instrument_scope(rec):
             result = run_algorithm(algorithm, graph, seed=3)
         return rec, result
 
@@ -112,16 +113,16 @@ class TestEventStream:
     )
     def test_event_streams_identical_across_engines(self, algorithm):
         """The acceptance matrix: a recording instrument attached to every
-        engine path sees the same rounds and the same awake counts — the
+        engine path (and the naive oracle loop) sees the same rounds and the same awake counts — the
         paper's pipelines included, whose Phase-I networks exercise the
         schedule-aware kernels (on_phase_start/on_phase_end/on_round all
         line up event for event)."""
-        legacy, _ = self._run("legacy", algorithm)
+        naive, _ = self._run("naive", algorithm)
         fast, _ = self._run("fast", algorithm)
         vectorized, _ = self._run("vectorized", algorithm)
-        assert legacy.events == fast.events == vectorized.events
-        assert vectorized.rounds_seen == legacy.rounds_seen
-        assert vectorized.awake_total == legacy.awake_total
+        assert naive.events == fast.events == vectorized.events
+        assert vectorized.rounds_seen == naive.rounds_seen
+        assert vectorized.awake_total == naive.awake_total
 
     @pytest.mark.parametrize("algorithm", ["algorithm1", "ghaffari2016"])
     def test_profiler_rides_the_vectorized_path(self, algorithm):

@@ -6,6 +6,7 @@ must be bit-identical to a scalar-engine trace.
 import networkx as nx
 import pytest
 
+from oracles.naive_engine import engine_scope, naive_run
 from repro.baselines import LubyProgram, RegularizedLubyProgram
 from repro.congest import Network
 
@@ -41,9 +42,9 @@ class TestVectorizedTraceEquivalence:
         make_program = PROGRAMS[algorithm]
         vectorized = _traced_network(make_program)
         vectorized.run(engine="vectorized")
-        legacy = _traced_network(make_program)
-        legacy.run(engine="legacy")
-        assert _views(vectorized) == _views(legacy)
+        naive = _traced_network(make_program)
+        naive_run(naive)
+        assert _views(vectorized) == _views(naive)
 
     @pytest.mark.parametrize("algorithm", sorted(PROGRAMS))
     def test_raw_records_match_scalar(self, algorithm):
@@ -61,23 +62,24 @@ class TestVectorizedTraceEquivalence:
         still match the scalar engines on tiny graphs."""
         vectorized = _traced_network(PROGRAMS["luby"], n=12, p=0.4, seed=3)
         vectorized.run(engine="vectorized")
-        legacy = _traced_network(PROGRAMS["luby"], n=12, p=0.4, seed=3)
-        legacy.run(engine="legacy")
-        assert _views(vectorized) == _views(legacy)
+        naive = _traced_network(PROGRAMS["luby"], n=12, p=0.4, seed=3)
+        naive_run(naive)
+        assert _views(vectorized) == _views(naive)
 
 
 class TestIdleCompactionVectorized:
-    """run_rounds past completion idles: non-legacy engines compact the
-    tail into an idle span, legacy records per-round empties — every
+    """run_rounds past completion idles: the engines compact the tail into
+    an idle span, the naive oracle loop records per-round empties — every
     derived view must agree anyway."""
 
     EXTRA = 25
 
     def _run_past_completion(self, engine):
         network = _traced_network(PROGRAMS["luby"], n=70, p=0.1, seed=9)
-        network.run(engine=engine)
-        finished_at = network.round_index
-        network.run_rounds(self.EXTRA, engine=engine)
+        with engine_scope(engine):
+            network.run()
+            finished_at = network.round_index
+            network.run_rounds(self.EXTRA)
         return network, finished_at
 
     def test_vectorized_tail_is_a_compact_span(self):
@@ -90,11 +92,11 @@ class TestIdleCompactionVectorized:
         # No empty per-round records were materialized for the tail.
         assert all(record.awake for record in network.trace.records)
 
-    def test_views_match_legacy_per_round_records(self):
+    def test_views_match_naive_per_round_records(self):
         vectorized, _ = self._run_past_completion("vectorized")
-        legacy, _ = self._run_past_completion("legacy")
-        assert not legacy.trace.idle_spans  # legacy never compacts
-        assert _views(vectorized) == _views(legacy)
+        naive, _ = self._run_past_completion("naive")
+        assert not naive.trace.idle_spans  # the naive loop never compacts
+        assert _views(vectorized) == _views(naive)
 
     def test_awake_counts_zero_fill_idle_tail(self):
         network, finished_at = self._run_past_completion("vectorized")
@@ -114,7 +116,7 @@ class TestMidCycleTruncation:
         while chunked.has_pending_work():
             chunked.run_rounds(chunk, engine="vectorized")
         whole = _traced_network(PROGRAMS["regularized_luby"], n=70, p=0.1, seed=5)
-        whole.run(engine="legacy")
+        naive_run(whole)
         # The chunked run may have idled past completion inside its final
         # slice; compare the prefix covering the scalar run.
         scalar_views = _views(whole)
