@@ -120,8 +120,8 @@ class _RegularizedLubyVectorRound(VectorRound):
 
     The marking probability is a *global* function of the algorithm round
     (no per-node degree), so one scalar probability gates a whole draw
-    column; every live node draws each MARK sub-round in sorted node
-    order, exactly like the scalar loop.  All schedule parameters are
+    column; every live node draws once from its own stream each MARK
+    sub-round, exactly like the scalar loop.  All schedule parameters are
     identical across nodes by construction (one factory builds every
     program), so they are read from an arbitrary instance.
 

@@ -50,7 +50,6 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..obs.instrument import NULL_INSTRUMENT, resolve_instrument
 from .channels import ChannelSpec, CongestChannel, LocalChannel, make_channel
@@ -58,6 +57,7 @@ from .errors import SchedulingError, SimulationLimitError, VectorizationError
 from .message import default_bit_budget
 from .metrics import EnergyLedger, RunMetrics
 from .program import NO_BROADCAST, Context, NodeProgram
+from .rng import NodeRandom, NodeStreams
 from .state import allocate_columns, bind_state
 from .vectorized import GraphArrays
 
@@ -154,8 +154,9 @@ class Network:
     programs:
         Mapping from node to its :class:`NodeProgram` instance.
     seed:
-        Master seed; per-node generators are spawned deterministically, so a
-        fixed seed reproduces the run bit-for-bit.
+        Master seed; node ``v``'s ``k``-th uniform is a pure function of
+        the seed, ``v``'s rank and ``k`` (see :mod:`repro.congest.rng`), so
+        a fixed seed reproduces the run bit-for-bit.
     bit_budget:
         CONGEST message budget ``B`` in bits; defaults to ``Θ(log n)``.
     ledger:
@@ -203,7 +204,7 @@ class Network:
 
         self.graph = graph
         #: Node labels in ascending order — the canonical rank order shared
-        #: by RNG spawning, state-column rows, and the CSR adjacency.
+        #: by the RNG stream keys, state-column rows, and the CSR adjacency.
         self._node_order = (
             list(graph.nodes)
             if isinstance(graph, GraphArrays)
@@ -224,12 +225,12 @@ class Network:
         self.max_message_bits = 0
         self.collisions = 0
 
-        seed_seq = np.random.SeedSequence(seed)
-        children = seed_seq.spawn(graph.number_of_nodes())
-        self.contexts: Dict[int, Context] = {}
-        for child, node in zip(children, self._node_order):
-            rng = np.random.default_rng(child)
-            self.contexts[node] = Context(self, node, self.n, rng)
+        #: Per-node random streams, shared by ``ctx.rng`` and vector kernels.
+        self.streams = NodeStreams(seed, graph.number_of_nodes())
+        self.contexts: Dict[int, Context] = {
+            node: Context(self, node, self.n, NodeRandom(self.streams, rank))
+            for rank, node in enumerate(self._node_order)
+        }
 
         #: Flat per-field state columns when the programs declare a schema
         #: (see :mod:`repro.congest.state`), else None.

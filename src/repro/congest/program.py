@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import SchedulingError
 from .message import Message
+from .rng import NodeRandom
 from .state import StateField, install_descriptors
 
 # Marker for "no whole-neighborhood broadcast pending this round".  Channels
@@ -62,7 +61,7 @@ class Context:
     )
 
     def __init__(self, network: Any, node: int, n: int,
-                 rng: np.random.Generator):
+                 rng: NodeRandom):
         self._network = network
         self.node = node
         # Neighbor tuples are materialized lazily: a network of 10^6 nodes

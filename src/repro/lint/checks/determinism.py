@@ -2,11 +2,11 @@
 
 The repo's correctness story is bit-identical outputs across the
 {fast, vectorized} engine paths, the test suite's naive per-round
-oracle, and ``n_jobs`` worker splits.  That only holds while every random draw comes from the engine's
-per-node generators (``ctx.rng`` in hooks, ``self.draws`` in kernels) in
-a deterministic order: ambient RNG, wall-clock reads, and hash-ordered
-iteration each break it in ways the equivalence matrices catch late (or
-only on another machine).
+oracle, and ``n_jobs`` worker splits.  That only holds while every
+random draw comes from the engine's keyed per-node streams (``ctx.rng``
+in hooks, ``self.draws`` in kernels) in a deterministic order: ambient
+RNG, wall-clock reads, and hash-ordered iteration each break it in ways
+the equivalence matrices catch late (or only on another machine).
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ class AmbientRngCheck(Check):
         "random.* or np.random.*"
     )
     rationale = """
-Every node owns a seeded per-node generator (ctx.rng; kernels read the
-same streams block-wise through DrawStreams). A draw from the random
-module or np.random.* consumes ambient, process-global state instead:
+Every node owns a keyed counter stream u(seed, rank, k): ctx.rng in
+hooks, self.draws.take in kernels. A draw from the random module or
+np.random.* consumes ambient, process-global state instead:
 the draw order then depends on scheduling and worker count, sweeps stop
 being reproducible across n_jobs, and the three engine paths diverge —
 precisely what the equivalence matrix pins. Even a *seeded*
@@ -93,7 +93,7 @@ class P(NodeProgram):
                 if reason is None:
                     continue
                 source = "ctx.rng" if kind == "program hook" \
-                    else "self.draws (DrawStreams)"
+                    else "self.draws.take(idx)"
                 yield self.finding(
                     module,
                     node,

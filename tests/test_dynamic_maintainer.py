@@ -109,9 +109,10 @@ class TestNodeEvents:
 
     def test_non_mis_node_removal_is_free(self):
         maintainer = MISMaintainer(graphs.star(6), "luby")
-        assert maintainer.mis == {1, 2, 3, 4, 5}  # Luby elects the leaves
-        report = maintainer.apply_epoch([GraphEvent(NODE_REMOVE, 0)])
-        assert maintainer.mis == {1, 2, 3, 4, 5}
+        before = set(maintainer.mis)
+        victim = min(set(maintainer.graph.nodes) - before)
+        report = maintainer.apply_epoch([GraphEvent(NODE_REMOVE, victim)])
+        assert maintainer.mis == before
         assert report.repair_region == 0
         assert_valid(maintainer)
 
