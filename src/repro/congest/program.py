@@ -28,7 +28,7 @@ sampling and schedule computation "before the algorithm even starts"
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import SchedulingError
 from .message import Message
@@ -228,8 +228,12 @@ class NodeProgram:
     #: factory ``(network) -> repro.congest.vectorized.VectorRound``
     #: (typically a classmethod); the factory may inspect the network and
     #: return ``None`` to decline (e.g. heterogeneous per-node parameters
-    #: the kernel cannot flatten). ``None`` here means the engine always
-    #: uses the scalar per-node loops. Runners come in two flavours:
+    #: the kernel cannot flatten). A class without a factory always runs
+    #: the scalar per-node loops. The hook is declared, not assigned, so
+    #: such a class has no ``vector_round`` attribute at all (read it with
+    #: ``getattr(cls, "vector_round", None)``): a tool that wraps the hook
+    #: on every class defining it (perfbench's tracer) then wraps only
+    #: real factories. Runners come in two flavours:
     #: always-on kernels (engaged only while the wake calendar is empty)
     #: and schedule-aware kernels (``supports_schedules = True``), which
     #: assemble each round's active set from the calendar via
@@ -239,7 +243,7 @@ class NodeProgram:
     #: metrics, ledger, traces, and per-node RNG draw order — which
     #: ``tests/test_engine_equivalence.py`` enforces for every registered
     #: algorithm.
-    vector_round = None
+    vector_round: Optional[Callable[..., Any]]
 
     def on_start(self, ctx: Context) -> None:
         """Free local precomputation before round 0 (no sending allowed)."""

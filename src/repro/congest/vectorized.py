@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import networkx as nx
 import numpy as np
 
 #: Module-wide engagement statistics, for tests and the CI gate that the
@@ -206,6 +207,19 @@ class GraphArrays:
 
     def __len__(self) -> int:
         return self.n
+
+    def to_networkx(self) -> nx.Graph:
+        """The same graph as a ``networkx.Graph``, nodes in rank order."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self.nodes)
+        forward = self.edge_source < self.indices
+        edges = zip(self.edge_source[forward].tolist(),
+                    self.indices[forward].tolist())
+        if not self.identity_ranks:
+            nodes = self.nodes
+            edges = ((nodes[u], nodes[v]) for u, v in edges)
+        graph.add_edges_from(edges)
+        return graph
 
     @property
     def edge_source(self) -> np.ndarray:

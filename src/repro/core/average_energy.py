@@ -32,28 +32,21 @@ leftovers).
 from __future__ import annotations
 
 import math
-from typing import Optional, Set
+from typing import Optional
 
 import networkx as nx
 import numpy as np
 
-from ..congest import (
-    EnergyLedger,
-    Network,
-    NodeProgram,
-    StateField,
-    channel_scope,
-)
-from ..congest.metrics import RunMetrics
+from ..congest import EnergyLedger, Network, NodeProgram, StateField
 from ..graphs.properties import max_degree
-from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
 from .phase1_alg1 import Phase1Alg1Program, run_phase1_alg1
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
-from .phase3 import _derive_seed, run_phase3
-from .phase_result import PhaseResult
+from .phase3 import run_phase3
+from .phase_result import PhaseResult, induced
+from .pipeline import Pipeline, run_pipeline
 
 
 class Lemma42Program(NodeProgram):
@@ -242,11 +235,9 @@ def run_lemma42(
         ledger = EnergyLedger(graph.nodes)
 
     if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(set(), set(), set(), empty,
-                           details={"failed": set(), "reduced": set(),
-                                    "iterations": 0})
+        return PhaseResult.idle(
+            {"failed": set(), "reduced": set(), "iterations": 0}
+        )
 
     before = ledger.snapshot()
     delta2 = max_degree(graph)
@@ -261,14 +252,10 @@ def run_lemma42(
     ))
 
     if iterations == 0:
-        metrics = RunMetrics.from_snapshots(
-            0, before, ledger.snapshot(), graph.nodes
-        )
-        return PhaseResult(
-            joined=set(), dominated=set(), remaining=set(graph.nodes),
-            metrics=metrics,
-            details={"failed": set(), "reduced": set(graph.nodes),
-                     "iterations": 0, "delta2": delta2},
+        return PhaseResult.idle(
+            {"failed": set(), "reduced": set(graph.nodes), "iterations": 0,
+             "delta2": delta2},
+            remaining=graph.nodes,
         )
 
     programs = {
@@ -280,38 +267,21 @@ def run_lemma42(
     total_rounds = iterations * (2 * rounds_per_iteration + 3)
     network.run_rounds(total_rounds)
 
-    joined = {v for v, f in network.outputs("joined").items() if f}
-    failed = {v for v, f in network.outputs("failed").items() if f}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    failed -= joined | dominated
-    reduced = set(graph.nodes) - joined - dominated - failed
-
-    metrics = RunMetrics.from_snapshots(
-        total_rounds, before, ledger.snapshot(), graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
+    result = PhaseResult.from_network(
+        graph, network, total_rounds, before, ledger, {}
     )
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=reduced | failed,
-        metrics=metrics,
-        details={
-            "failed": failed,
-            "reduced": reduced,
-            "iterations": iterations,
-            "rounds_per_iteration": rounds_per_iteration,
-            "delta2": delta2,
-            "reduced_max_degree": max_degree(graph.subgraph(reduced)),
-        },
-    )
-    result.check_partition(set(graph.nodes))
+    failed = {
+        v for v, f in network.outputs("failed").items() if f
+    } & result.remaining
+    reduced = result.remaining - failed
+    result.details = {
+        "failed": failed,
+        "reduced": reduced,
+        "iterations": iterations,
+        "rounds_per_iteration": rounds_per_iteration,
+        "delta2": delta2,
+        "reduced_max_degree": max_degree(graph.subgraph(reduced)),
+    }
     return result
 
 
@@ -334,9 +304,7 @@ def run_sparsify(
         ledger = EnergyLedger(graph.nodes)
 
     if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(set(), set(), set(), empty, details={})
+        return PhaseResult.idle({})
 
     before = ledger.snapshot()
     degree = max_degree(graph)
@@ -354,79 +322,32 @@ def run_sparsify(
     network.run_rounds(total_rounds)
     ledger.charge_many(graph.nodes, 1)  # hand-off status round
 
-    joined = {v for v, f in network.outputs("joined").items() if f}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    metrics = RunMetrics.from_snapshots(
-        total_rounds + 1, before, ledger.snapshot(), graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        max_message_bits=network.max_message_bits,
-    )
-    result = PhaseResult(
-        joined=joined, dominated=dominated, remaining=remaining,
-        metrics=metrics,
-        details={
+    result = PhaseResult.from_network(
+        graph, network, total_rounds + 1, before, ledger,
+        {
             "iterations": iterations,
             "rounds_per_iteration": rounds_per_iteration,
             "input_degree": degree,
-            "remaining_fraction": len(remaining) / graph.number_of_nodes(),
         },
     )
-    result.check_partition(set(graph.nodes))
+    result.details["remaining_fraction"] = (
+        len(result.remaining) / graph.number_of_nodes()
+    )
     return result
 
 
-def _compose_average_energy(
-    graph: nx.Graph,
-    seed: int,
-    config: AlgorithmConfig,
-    ledger: Optional[EnergyLedger],
-    phase1_runner,
-    name: str,
-    variant: str,
-    size_bound: Optional[int] = None,
-) -> MISResult:
-    if graph.number_of_nodes() == 0:
-        raise ValueError(f"{name} needs a non-empty graph")
-    n = size_bound if size_bound is not None else graph.number_of_nodes()
-    if ledger is None:
-        ledger = EnergyLedger(graph.nodes)
-
-    instrument = current_instrument()
-    prof = instrument.profiler
-
-    def observed_phase(phase_name, runner):
-        # Phase names match the combine_sequential keys below, so the
-        # event stream, the profile tree, and metrics.phases line up.
-        instrument.on_phase_start(phase_name)
-        with section_scope(prof, phase_name):
-            result = runner()
-        instrument.on_phase_end(phase_name, result.metrics)
-        return result
-
-    phase1 = observed_phase("phase1", lambda: phase1_runner(
-        graph, seed=_derive_seed(seed, 11), config=config, ledger=ledger,
-        size_bound=n,
-    ))
-    residual = graph.subgraph(phase1.remaining).copy()
-
-    lemma42 = observed_phase("lemma42", lambda: run_lemma42(
-        residual, seed=_derive_seed(seed, 12), config=config, ledger=ledger,
-        size_bound=n,
-    ))
+def _average_energy_stages(pipeline: Pipeline, phase1_runner, variant: str):
+    """Phase I → Lemma 4.2 → sparsifier → Phases II/III; the stage tags
+    (11–15) seed each stage."""
+    graph, ledger = pipeline.graph, pipeline.ledger
+    phase1 = pipeline.stage("phase1", phase1_runner, graph, 11)
+    residual = induced(graph, phase1.remaining)
+    lemma42 = pipeline.stage("lemma42", run_lemma42, residual, 12)
     reduced = lemma42.details.get("reduced", set())
     failed = lemma42.details.get("failed", set())
-
-    sparsified = observed_phase("sparsify", lambda: run_sparsify(
-        residual.subgraph(reduced).copy(),
-        seed=_derive_seed(seed, 13), config=config, ledger=ledger,
-        size_bound=n,
-    ))
+    sparsified = pipeline.stage(
+        "sparsify", run_sparsify, induced(residual, reduced), 13
+    )
 
     # Failed nodes slept through the sparsifier but live in the same
     # residual graph: any of them adjacent to a sparsifier joiner is
@@ -440,43 +361,19 @@ def _compose_average_energy(
         if any(u in sparsified.joined for u in residual.neighbors(node))
     }
     leftover = (failed - dominated_failed) | sparsified.remaining
-    phase2 = observed_phase("phase2", lambda: run_phase2(
-        residual.subgraph(leftover).copy(),
-        seed=_derive_seed(seed, 14), config=config, ledger=ledger,
-        size_bound=n,
-    ))
-    phase3 = observed_phase("phase3", lambda: run_phase3(
-        phase2.components,
-        seed=_derive_seed(seed, 15), config=config, ledger=ledger,
-        size_bound=n, variant=variant,
-    ))
-
-    mis = (
-        phase1.joined | lemma42.joined | sparsified.joined
-        | phase2.joined | phase3.joined
+    phase2 = pipeline.stage(
+        "phase2", run_phase2, induced(residual, leftover), 14
     )
-    metrics = RunMetrics.combine_sequential(
-        {
-            "phase1": phase1.metrics,
-            "lemma42": lemma42.metrics,
-            "sparsify": sparsified.metrics,
-            "phase2": phase2.metrics,
-            "phase3": phase3.metrics,
-        },
-        ledger=ledger,
+    phase3 = pipeline.stage(
+        "phase3", run_phase3, phase2.components, 15, variant=variant
     )
-    return MISResult(
-        mis=mis,
-        metrics=metrics,
-        algorithm=name,
-        details={
-            "failed_nodes": len(failed),
-            "sparsify_leftover": len(sparsified.remaining),
-            "phase2_input": len(leftover),
-            "undecided": sorted(phase3.remaining),
-            "phase3_failures": phase3.details.get("failures", 0),
-        },
-    )
+    return {
+        "failed_nodes": len(failed),
+        "sparsify_leftover": len(sparsified.remaining),
+        "phase2_input": len(leftover),
+        "undecided": sorted(phase3.remaining),
+        "phase3_failures": phase3.details.get("failures", 0),
+    }
 
 
 def algorithm1_constant_average_energy(
@@ -490,11 +387,11 @@ def algorithm1_constant_average_energy(
 ) -> MISResult:
     """Algorithm 1 augmented per Section 4: O(1) node-averaged energy while
     keeping the Theorem 1.1 worst-case time/energy bounds."""
-    with channel_scope(channel):
-        return _compose_average_energy(
-            graph, seed, config, ledger, run_phase1_alg1,
-            "algorithm1_avg_energy", "alg1", size_bound=size_bound,
-        )
+    return run_pipeline(
+        "algorithm1_avg_energy", _average_energy_stages, graph, seed,
+        config=config, ledger=ledger, size_bound=size_bound,
+        channel=channel, phase1_runner=run_phase1_alg1, variant="alg1",
+    )
 
 
 def algorithm2_constant_average_energy(
@@ -507,8 +404,8 @@ def algorithm2_constant_average_energy(
     channel=None,
 ) -> MISResult:
     """Algorithm 2 augmented per Section 4."""
-    with channel_scope(channel):
-        return _compose_average_energy(
-            graph, seed, config, ledger, run_phase1_alg2,
-            "algorithm2_avg_energy", "alg2", size_bound=size_bound,
-        )
+    return run_pipeline(
+        "algorithm2_avg_energy", _average_energy_stages, graph, seed,
+        config=config, ledger=ledger, size_bound=size_bound,
+        channel=channel, phase1_runner=run_phase1_alg2, variant="alg2",
+    )

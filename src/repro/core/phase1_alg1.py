@@ -35,7 +35,7 @@ an earlier-acting neighbor delivered the neighbor's outcome.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -290,24 +290,16 @@ def run_phase1_alg1(
     before = ledger.snapshot()
 
     if total_rounds == 0 or graph.number_of_nodes() == 0:
-        from ..congest.metrics import RunMetrics
-
-        metrics = RunMetrics.from_snapshots(0, before, ledger.snapshot(),
-                                            graph.nodes)
-        result = PhaseResult(
-            joined=set(),
-            dominated=set(),
-            remaining=set(graph.nodes),
-            metrics=metrics,
-            details={
+        return PhaseResult.idle(
+            {
                 "iterations": 0,
                 "rounds_per_iteration": 0,
                 "delta": delta,
                 "sampled_nodes": 0,
                 "residual_max_degree": delta,
             },
+            remaining=graph.nodes,
         )
-        return result
 
     programs = {
         node: Phase1Alg1Program(
@@ -323,39 +315,17 @@ def run_phase1_alg1(
     # Hand-off round: everyone wakes once so dominated status is known.
     ledger.charge_many(graph.nodes, 1)
 
-    joined = {v for v, flag in network.outputs("joined").items() if flag}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    from ..congest.metrics import RunMetrics
-
-    metrics = RunMetrics.from_snapshots(
-        3 * total_rounds + 1,
-        before,
-        ledger.snapshot(),
-        graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
-    )
     sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=remaining,
-        metrics=metrics,
-        details={
+    result = PhaseResult.from_network(
+        graph, network, 3 * total_rounds + 1, before, ledger,
+        {
             "iterations": iterations,
             "rounds_per_iteration": rounds_per_iteration,
             "delta": delta,
             "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(graph.subgraph(remaining)),
         },
     )
-    result.check_partition(set(graph.nodes))
+    result.details["residual_max_degree"] = max_degree(
+        graph.subgraph(result.remaining)
+    )
     return result

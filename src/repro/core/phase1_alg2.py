@@ -50,8 +50,9 @@ from ..congest.vectorized import VectorRound, int_bit_length
 from ..graphs.properties import max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase3 import _derive_seed
-from .phase_result import PhaseResult
+from .phase_result import (
+    PhaseResult, derive_seed, induced, message_counters,
+)
 
 _STATUS = 0
 _TAG = 1
@@ -559,38 +560,14 @@ def run_lemma31_iteration(
     network = Network(graph, programs, seed=seed, ledger=ledger, size_bound=n)
     network.run_rounds(4 * rounds + 4)
 
-    joined = {v for v, flag in network.outputs("joined").items() if flag}
-    dominated: Set[int] = set()
-    for node in joined:
-        dominated.update(graph.neighbors(node))
-    dominated -= joined
-    remaining = set(graph.nodes) - joined - dominated
-
-    metrics = RunMetrics.from_snapshots(
-        4 * rounds + 4,
-        before,
-        ledger.snapshot(),
-        graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
-    )
     sampled = sum(1 for v, f in network.outputs("sampled").items() if f)
-    result = PhaseResult(
-        joined=joined,
-        dominated=dominated,
-        remaining=remaining,
-        metrics=metrics,
-        details={
-            "delta": delta,
-            "rounds": rounds,
-            "sampled_nodes": sampled,
-            "residual_max_degree": max_degree(graph.subgraph(remaining)),
-        },
+    result = PhaseResult.from_network(
+        graph, network, 4 * rounds + 4, before, ledger,
+        {"delta": delta, "rounds": rounds, "sampled_nodes": sampled},
     )
-    result.check_partition(set(graph.nodes))
+    result.details["residual_max_degree"] = max_degree(
+        graph.subgraph(result.remaining)
+    )
     return result
 
 
@@ -618,8 +595,8 @@ def run_phase1_alg2(
     dominated: Set[int] = set()
     current = graph
     delta = max_degree(graph)
-    total_rounds = 0
     iteration_details = []
+    step_metrics = []
     failures = 0
     iteration = 0
     while delta > floor and current.number_of_nodes() > 0:
@@ -629,16 +606,16 @@ def run_phase1_alg2(
         step = run_lemma31_iteration(
             current,
             delta,
-            seed=_derive_seed(seed, iteration),
+            seed=derive_seed(seed, iteration),
             config=config,
             ledger=ledger,
             size_bound=n,
         )
         joined |= step.joined
         dominated |= step.dominated
-        total_rounds += step.metrics.rounds
         iteration_details.append(step.details)
-        current = current.subgraph(step.remaining).copy()
+        step_metrics.append(step.metrics)
+        current = induced(current, step.remaining)
         target = max(1, math.ceil(delta**config.alg2_target_exponent))
         actual = max_degree(current)
         if actual > target:
@@ -648,7 +625,8 @@ def run_phase1_alg2(
             delta = target
 
     metrics = RunMetrics.from_snapshots(
-        total_rounds, before, ledger.snapshot(), graph.nodes
+        sum(m.rounds for m in step_metrics), before,
+        ledger.snapshot(), graph.nodes, **message_counters(step_metrics),
     )
     result = PhaseResult(
         joined=joined,

@@ -34,7 +34,7 @@ from ..congest import EnergyLedger
 from ..congest.metrics import RunMetrics
 from ..graphs.properties import max_degree
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult
+from .phase_result import PhaseResult, induced, message_counters
 
 
 @dataclass
@@ -135,12 +135,7 @@ def run_phase2(
         ledger = EnergyLedger(graph.nodes)
 
     if graph.number_of_nodes() == 0:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return Phase2Result(
-            joined=set(), dominated=set(), remaining=set(), metrics=empty,
-            details={"components": 0}, components=[],
-        )
+        return Phase2Result.idle({"components": 0})
 
     before = ledger.snapshot()
     delta2 = max_degree(graph)
@@ -151,7 +146,7 @@ def run_phase2(
     dominated = set(graph.nodes) - joined - undecided
     shatter_rounds = network.metrics().rounds
 
-    residue = graph.subgraph(undecided).copy()
+    residue = induced(graph, undecided)
     choreography = Choreography(ledger)
     radius = config.phase2_radius(n)
     trees = (
@@ -162,7 +157,7 @@ def run_phase2(
     for component in sorted(
         nx.connected_components(residue), key=lambda c: min(c)
     ):
-        component_graph = residue.subgraph(component).copy()
+        component_graph = induced(residue, component)
         component_trees = {
             center: tree
             for center, tree in trees.items()
@@ -175,11 +170,7 @@ def run_phase2(
         before,
         ledger.snapshot(),
         graph.nodes,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_dropped=network.messages_dropped,
-        total_message_bits=network.total_message_bits,
-        max_message_bits=network.max_message_bits,
+        **message_counters([network]),
     )
     result = Phase2Result(
         joined=joined,

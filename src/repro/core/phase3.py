@@ -26,18 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..baselines.ghaffari import ACTIVE, JOINED, GhaffariProgram
 from ..cluster import Choreography, ClusterState, merge_component_clusters
 from ..congest import EnergyLedger, Network
 from ..congest.metrics import RunMetrics
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult
-
-
-def _derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+from .phase_result import PhaseResult, derive_seed, message_counters
 
 
 def _run_executions(
@@ -47,7 +41,7 @@ def _run_executions(
     seed: int,
     ledger: EnergyLedger,
     size_bound: int,
-) -> Tuple[Dict[int, GhaffariProgram], int]:
+) -> Tuple[Dict[int, GhaffariProgram], RunMetrics]:
     """One block of parallel Ghaffari executions on a component."""
     programs = {
         node: GhaffariProgram(iterations=iterations, executions=executions)
@@ -56,8 +50,7 @@ def _run_executions(
     network = Network(
         state.graph, programs, seed=seed, ledger=ledger, size_bound=size_bound
     )
-    metrics = network.run(max_rounds=10 * iterations + 16)
-    return programs, metrics.rounds
+    return programs, network.run(max_rounds=10 * iterations + 16)
 
 
 def _successful_executions(
@@ -102,12 +95,7 @@ def run_phase3(
         ledger = EnergyLedger(all_nodes)
 
     if not all_nodes:
-        empty = RunMetrics(rounds=0, max_energy=0, average_energy=0.0,
-                           total_energy=0)
-        return PhaseResult(
-            joined=set(), dominated=set(), remaining=set(), metrics=empty,
-            details={"components": 0, "failures": 0},
-        )
+        return PhaseResult.idle({"components": 0, "failures": 0})
 
     before = ledger.snapshot()
     executions = config.phase3_executions(size_bound)
@@ -128,7 +116,7 @@ def run_phase3(
     failures = 0
     merge_iterations_max = 0
     tree_height_max = 0
-    messages = {"sent": 0, "delivered": 0, "dropped": 0, "bits": 0, "max_bits": 0}
+    block_runs: List[RunMetrics] = []
 
     for state in components:
         component_nodes = sorted(state.graph.nodes)
@@ -164,11 +152,12 @@ def run_phase3(
         winner: Optional[int] = None
         programs: Dict[int, GhaffariProgram] = {}
         for attempt in range(config.phase3_retries + 1):
-            block_seed = _derive_seed(seed, component_id, attempt)
-            programs, rounds = _run_executions(
+            block_seed = derive_seed(seed, component_id, attempt)
+            programs, run = _run_executions(
                 state, executions, iterations, block_seed, ledger, size_bound
             )
-            engine_rounds += rounds
+            block_runs.append(run)
+            engine_rounds += run.rounds
             # Local success checks (already known from received join bits),
             # then a convergecast-AND per execution and one broadcast of the
             # chosen execution index.
@@ -210,6 +199,7 @@ def run_phase3(
         before,
         ledger.snapshot(),
         all_nodes,
+        **message_counters(block_runs),
     )
     result = PhaseResult(
         joined=joined,

@@ -87,7 +87,7 @@ def _vector_capable() -> frozenset:
     return frozenset(
         name
         for name, classes in _program_classes().items()
-        if all(callable(cls.vector_round) for cls in classes)
+        if all(callable(getattr(cls, "vector_round", None)) for cls in classes)
     )
 
 

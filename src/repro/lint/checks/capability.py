@@ -329,18 +329,18 @@ def _dict_literal_keys(value: Optional[ast.expr]) -> Optional[Set[str]]:
 
 
 class VectorFactoryCheck(Check):
-    """RL405: ``vector_round`` must return a real kernel (or stay None)."""
+    """RL405: ``vector_round`` must return a real kernel (or stay unset)."""
 
     id = "RL405"
     name = "vector-factory"
     summary = (
         "vector_round must construct a VectorRound subclass or be left "
-        "as None"
+        "unset"
     )
     rationale = """
 NodeProgram.vector_round is the capability hook: the engine calls it
-with the network and expects a VectorRound instance (or the class-level
-None meaning "no dense path"). A factory that instantiates a class
+with the network and expects a VectorRound instance (a class without
+the hook has no dense path). A factory that instantiates a class
 which is not a VectorRound — or a name that does not exist — passes the
 callable(cls.vector_round) capability probe in the harness, so the
 algorithm is advertised as vector-capable and then blows up (or worse,

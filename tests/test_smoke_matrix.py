@@ -3,7 +3,8 @@
 Two guarantees the rest of the suite only covers piecemeal:
 
 * every registered algorithm produces a verified MIS on every registered
-  workload family (small n, fixed seed);
+  workload family (small n, fixed seed), on networkx and on CSR
+  (``as_arrays=True``) input alike;
 * a fixed seed reproduces the identical :class:`MISResult` — set, rounds,
   and energy — run-to-run (the determinism contract the dynamic subsystem
   and the sweep harness both build on).
@@ -25,9 +26,10 @@ MATRIX = [
 ]
 
 
+@pytest.mark.parametrize("as_arrays", [False, True], ids=["nx", "csr"])
 @pytest.mark.parametrize("algorithm,family", MATRIX)
-def test_every_algorithm_on_every_family(algorithm, family):
-    graph = make_family(family, N, seed=SEED)
+def test_every_algorithm_on_every_family(algorithm, family, as_arrays):
+    graph = make_family(family, N, seed=SEED, as_arrays=as_arrays)
     result = run_algorithm(algorithm, graph, seed=SEED)
     report = verify_mis(graph, result.mis)
     assert report.independent, (
