@@ -38,15 +38,15 @@ import networkx as nx
 import numpy as np
 
 from ..congest import EnergyLedger, Network, NodeProgram, StateField
-from ..graphs.properties import max_degree
+from ..graphs.properties import degrees_within, max_degree
 from ..result import MISResult
 from .config import DEFAULT_CONFIG, AlgorithmConfig, loglog2n
 from .phase1_alg1 import Phase1Alg1Program, run_phase1_alg1
 from .phase1_alg2 import run_phase1_alg2
 from .phase2 import run_phase2
 from .phase3 import run_phase3
-from .phase_result import PhaseResult, induced
-from .pipeline import Pipeline, run_pipeline
+from .phase_result import PhaseResult
+from .pipeline import Pipeline, residual, run_pipeline
 
 
 class Lemma42Program(NodeProgram):
@@ -280,7 +280,9 @@ def run_lemma42(
         "iterations": iterations,
         "rounds_per_iteration": rounds_per_iteration,
         "delta2": delta2,
-        "reduced_max_degree": max_degree(graph.subgraph(reduced)),
+        "reduced_max_degree": max(
+            degrees_within(graph, reduced).values(), default=0
+        ),
     }
     return result
 
@@ -341,12 +343,12 @@ def _average_energy_stages(pipeline: Pipeline, phase1_runner, variant: str):
     (11–15) seed each stage."""
     graph, ledger = pipeline.graph, pipeline.ledger
     phase1 = pipeline.stage("phase1", phase1_runner, graph, 11)
-    residual = induced(graph, phase1.remaining)
-    lemma42 = pipeline.stage("lemma42", run_lemma42, residual, 12)
+    rest = residual(graph, phase1.remaining)
+    lemma42 = pipeline.stage("lemma42", run_lemma42, rest, 12)
     reduced = lemma42.details.get("reduced", set())
     failed = lemma42.details.get("failed", set())
     sparsified = pipeline.stage(
-        "sparsify", run_sparsify, induced(residual, reduced), 13
+        "sparsify", run_sparsify, residual(rest, reduced), 13
     )
 
     # Failed nodes slept through the sparsifier but live in the same
@@ -358,11 +360,11 @@ def _average_energy_stages(pipeline: Pipeline, phase1_runner, variant: str):
     dominated_failed = {
         node
         for node in failed
-        if any(u in sparsified.joined for u in residual.neighbors(node))
+        if any(u in sparsified.joined for u in rest.neighbors(node))
     }
     leftover = (failed - dominated_failed) | sparsified.remaining
     phase2 = pipeline.stage(
-        "phase2", run_phase2, induced(residual, leftover), 14
+        "phase2", run_phase2, residual(rest, leftover), 14
     )
     phase3 = pipeline.stage(
         "phase3", run_phase3, phase2.components, 15, variant=variant

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..congest import EnergyLedger, Network, NodeProgram, StateField
 from ..congest.vectorized import VectorRound
-from ..graphs.properties import max_degree
+from ..graphs.properties import degrees_within, max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
 from .phase_result import PhaseResult
@@ -325,7 +325,7 @@ def run_phase1_alg1(
             "sampled_nodes": sampled,
         },
     )
-    result.details["residual_max_degree"] = max_degree(
-        graph.subgraph(result.remaining)
+    result.details["residual_max_degree"] = max(
+        degrees_within(graph, result.remaining).values(), default=0
     )
     return result

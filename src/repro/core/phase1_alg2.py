@@ -47,12 +47,10 @@ import numpy as np
 from ..congest import EnergyLedger, Network, NodeProgram, StateField
 from ..congest.metrics import RunMetrics
 from ..congest.vectorized import VectorRound, int_bit_length
-from ..graphs.properties import max_degree
+from ..graphs.properties import degrees_within, induced_subgraph, max_degree
 from ..schedule import schedule_for_round
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import (
-    PhaseResult, derive_seed, induced, message_counters,
-)
+from .phase_result import PhaseResult, derive_seed, message_counters
 
 _STATUS = 0
 _TAG = 1
@@ -565,8 +563,8 @@ def run_lemma31_iteration(
         graph, network, 4 * rounds + 4, before, ledger,
         {"delta": delta, "rounds": rounds, "sampled_nodes": sampled},
     )
-    result.details["residual_max_degree"] = max_degree(
-        graph.subgraph(result.remaining)
+    result.details["residual_max_degree"] = max(
+        degrees_within(graph, result.remaining).values(), default=0
     )
     return result
 
@@ -615,7 +613,7 @@ def run_phase1_alg2(
         dominated |= step.dominated
         iteration_details.append(step.details)
         step_metrics.append(step.metrics)
-        current = induced(current, step.remaining)
+        current = induced_subgraph(current, step.remaining)
         target = max(1, math.ceil(delta**config.alg2_target_exponent))
         actual = max_degree(current)
         if actual > target:

@@ -32,9 +32,9 @@ from ..baselines.ghaffari import ghaffari_shatter
 from ..cluster import Choreography, ClusterState, RootedTree, state_from_trees
 from ..congest import EnergyLedger
 from ..congest.metrics import RunMetrics
-from ..graphs.properties import max_degree
+from ..graphs.properties import induced_subgraph, max_degree
 from .config import DEFAULT_CONFIG, AlgorithmConfig
-from .phase_result import PhaseResult, induced, message_counters
+from .phase_result import PhaseResult, message_counters
 
 
 @dataclass
@@ -146,7 +146,7 @@ def run_phase2(
     dominated = set(graph.nodes) - joined - undecided
     shatter_rounds = network.metrics().rounds
 
-    residue = induced(graph, undecided)
+    residue = induced_subgraph(graph, undecided)
     choreography = Choreography(ledger)
     radius = config.phase2_radius(n)
     trees = (
@@ -157,7 +157,7 @@ def run_phase2(
     for component in sorted(
         nx.connected_components(residue), key=lambda c: min(c)
     ):
-        component_graph = induced(residue, component)
+        component_graph = induced_subgraph(residue, component)
         component_trees = {
             center: tree
             for center, tree in trees.items()

@@ -24,12 +24,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def induced(graph, nodes):
-    """The residual graph on ``nodes``, detached from ``graph`` (the one
-    place the phases cut a graph down to what is still undecided)."""
-    return graph.subgraph(nodes).copy()
-
-
 def message_counters(sources: Iterable[Any]) -> Dict[str, int]:
     """The five message counters of networks or metrics, combined: four
     summed, ``max_message_bits`` the maximum."""

@@ -21,12 +21,13 @@ from typing import Dict, Optional
 from ..congest import EnergyLedger, channel_scope
 from ..congest.metrics import RunMetrics
 from ..congest.vectorized import GraphArrays
+from ..graphs.properties import in_copy_order, induced_subgraph
 from ..obs import current_instrument, section_scope
 from ..result import MISResult
 from .config import AlgorithmConfig
 from .phase2 import run_phase2
 from .phase3 import run_phase3
-from .phase_result import PhaseResult, derive_seed, induced
+from .phase_result import PhaseResult, derive_seed
 
 
 class Pipeline:
@@ -75,6 +76,16 @@ class Pipeline:
         )
 
 
+def residual(graph, nodes):
+    """The residual graph on the node set ``nodes``: ``graph`` itself when
+    ``nodes`` covers it and its copy would iterate identically, else
+    :func:`induced_subgraph`. No stage mutates its input graph, so handing
+    the same graph to the next stage is safe."""
+    if nodes.issuperset(graph) and in_copy_order(graph):
+        return graph
+    return induced_subgraph(graph, nodes)
+
+
 def run_pipeline(name: str, stages, graph, seed: int, *,
                  config: AlgorithmConfig, ledger: Optional[EnergyLedger],
                  size_bound: Optional[int], channel, **kwargs) -> MISResult:
@@ -90,7 +101,7 @@ def three_phases(pipeline: Pipeline, phase1_runner, tags, variant: str):
     """Phases I, II and III of Theorems 1.1/1.2, seeded by ``tags``."""
     phase1 = pipeline.stage("phase1", phase1_runner, pipeline.graph, tags[0])
     phase2 = pipeline.stage(
-        "phase2", run_phase2, induced(pipeline.graph, phase1.remaining),
+        "phase2", run_phase2, residual(pipeline.graph, phase1.remaining),
         tags[1],
     )
     phase3 = pipeline.stage(

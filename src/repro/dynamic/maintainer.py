@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set
 import networkx as nx
 
 from ..congest.metrics import EnergyLedger
+from ..graphs.properties import induced_subgraph
 from ..result import MISResult
 from .events import NODE_ADD, NODE_REMOVE, GraphEvent, apply_event
 
@@ -116,7 +117,7 @@ class MISMaintainer:
             )
         if graph.number_of_nodes() == 0:
             raise ValueError("MISMaintainer needs a non-empty initial graph")
-        self.graph = graph.copy()
+        self.graph = induced_subgraph(graph, graph)
         self.algorithm_name, self._algorithm = _resolve_algorithm(algorithm)
         self.strategy = strategy
         self.seed = seed
@@ -210,7 +211,7 @@ class MISMaintainer:
 
         rounds = 1 if epoch else 0  # the probe round
         if uncovered:
-            region = self.graph.subgraph(uncovered).copy()
+            region = induced_subgraph(self.graph, uncovered)
             result = self._run_algorithm(region, self.epoch)
             self.mis |= result.mis
             rounds += result.rounds

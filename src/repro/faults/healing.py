@@ -37,6 +37,7 @@ from ..dynamic.maintainer import (
     _accepts_kwarg,
     _resolve_algorithm,
 )
+from ..graphs.properties import induced_subgraph
 from .plan import CRASH, RECOVER, STRAGGLE, FaultPlan
 
 __all__ = [
@@ -102,7 +103,7 @@ def heal_mis(
         kwargs.setdefault("ledger", ledger)
         if _accepts_kwarg(run, "size_bound"):
             kwargs.setdefault("size_bound", graph.number_of_nodes())
-        region = graph.subgraph(uncovered).copy()
+        region = induced_subgraph(graph, uncovered)
         result = run(region, seed=seed, **kwargs)
         healed |= set(result.mis)
         rounds = result.rounds

@@ -25,8 +25,55 @@ def component_sizes(graph: nx.Graph) -> List[int]:
 
 
 def induced_subgraph(graph: nx.Graph, nodes) -> nx.Graph:
-    """Copy of the subgraph induced by ``nodes`` (detached from the parent)."""
-    return graph.subgraph(nodes).copy()
+    """Copy of the subgraph induced by ``nodes`` (detached from the parent).
+
+    Equal to ``graph.subgraph(nodes).copy()`` down to iteration order, but
+    built straight from the parent's dicts instead of through networkx's
+    filtered views. ``nodes`` is an iterable of nodes; those not in
+    ``graph`` are ignored. The orders are networkx's:
+
+    * nodes follow the kept-node set when fewer than half the nodes are
+      kept, the parent's order otherwise;
+    * each node lists first its neighbours that come earlier in node order
+      (in node order), then the rest in the parent's order — the order in
+      which the copy's ``add_edges_from`` inserts them;
+    * node, edge and graph attribute dicts are fresh shallow copies, one
+      dict per edge shared by both directions.
+    """
+    adj = graph._adj
+    keep = {node for node in nodes if node in adj}
+    order = keep if 2 * len(keep) < len(adj) else [v for v in adj if v in keep]
+    sub = graph.__class__()
+    sub.graph.update(graph.graph)
+    attrs, sub_attrs, sub_adj = graph._node, sub._node, sub._adj
+    for v in order:
+        sub_attrs[v] = attrs[v].copy()
+        sub_adj[v] = {}
+    for u in order:
+        row = sub_adj[u]
+        for v, data in adj[u].items():
+            if v in keep and v not in row:
+                row[v] = sub_adj[v][u] = data.copy()
+    return sub
+
+
+def in_copy_order(graph: nx.Graph) -> bool:
+    """Whether ``graph`` iterates exactly like its own copy.
+
+    A networkx copy keeps the node order and lists each node's earlier
+    neighbours (in node order) before the rest, so the graph qualifies when
+    every adjacency row already does. One pass over the adjacency, with an
+    index of node positions.
+    """
+    position = {v: i for i, v in enumerate(graph._adj)}
+    for i, row in enumerate(graph._adj.values()):
+        last = -1
+        for v in row:
+            p = position[v]
+            if p < last:
+                return False
+            last = p if p < i else i
+    return True
 
 
 def remove_closed_neighborhoods(graph: nx.Graph, centers: Set[int]) -> nx.Graph:

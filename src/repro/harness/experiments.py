@@ -366,7 +366,7 @@ def experiment_e8(quick: bool = False):
     for n in sizes:
         graph = graphs.gnp(n, min(0.9, 4.0 / n * log2_safe(n)), seed=n)
         component = max(nx.connected_components(graph), key=len)
-        sub = graph.subgraph(component).copy()
+        sub = graphs.induced_subgraph(graph, component)
         state = singleton_clusters(sub)
         ledger = EnergyLedger(sub.nodes)
         choreography = Choreography(ledger)
